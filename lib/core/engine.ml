@@ -7,7 +7,14 @@
     ReqBind exits, which either chain directly into another translation
     (translation linking / retranslation chains) or resume the interpreter
     with the VM state the exit spec describes — including materializing
-    partially-inlined callee frames (§5.3.1). *)
+    partially-inlined callee frames (§5.3.1).
+
+    Every domain dispatches the same way, through a dispatch context
+    ({!serve_ctx}: pinned epoch, machine, mono table) — the engine's main
+    context, or a serving worker's own.  A miss compiles under the write
+    lease ({!Translate_queue}), the lease holder publishes the changed
+    rows as an epoch, and the publishing domain adopts it at once; other
+    domains adopt it at their next request boundary. *)
 
 open Runtime.Value
 module Rd = Region.Rdesc
@@ -16,26 +23,24 @@ type phase = PProfiling | POptimized
 
 (** Per-srckey translation slot: the retranslation chain as a growable
     array (publish is O(1) amortized and keeps insertion order — no list
-    re-walk per publish) plus the monomorphic last-hit entry cache.  The
-    cache remembers the last entry that matched here; re-entry validates
-    only that entry's guards before falling back to the full chain walk. *)
+    re-walk per publish). *)
 type slot = {
   mutable sl_chain : Translation.t array;  (* first [sl_len] are live *)
   mutable sl_len : int;
-  mutable sl_mono : (Translation.t * Translation.entry) option;
 }
 
 (** An immutable published snapshot of the dispatch state (paper §5.1's
     publish step, generalized to parallel serving): the srckey tables and
     retranslation chains frozen at a publish point, plus the translation-
     link generation and the huge-page mapping of the hot section that were
-    current then.  The engine swaps the published epoch with one atomic
-    store; request-serving worker domains dispatch against their pinned
-    epoch and adopt the latest one only at request boundaries, so a
-    request racing a retranslate-all runs entirely on the old epoch or
-    entirely on the new one — never on a half-published chain.  Slots are
-    private trimmed copies, so later main-domain mutation (lazy compiles,
-    chain growth, mono-cache updates) cannot leak into a published view. *)
+    current then.  Every mutation of the translation tables publishes one
+    with a single atomic store before the write lease is released; each
+    domain dispatches against the epoch its context pinned and adopts a
+    newer one at request boundaries (or at once, when it published it), so
+    a request racing a retranslate-all on another domain runs on the old
+    epoch or the new one — never on a half-published chain.  Slots are
+    private trimmed copies, so later table mutation cannot leak into a
+    published view. *)
 type epoch = {
   ep_seq : int;                            (* publish sequence number *)
   ep_gen : int;                            (* link generation at publish *)
@@ -48,6 +53,18 @@ type epoch = {
 let empty_epoch : epoch =
   { ep_seq = 0; ep_gen = 0; ep_trans = [||];
     ep_huge = false; ep_main_lo = 0; ep_main_hi = 0 }
+
+(** Per-domain dispatch context: the pinned epoch, the SimCPU machine
+    (i-cache, I-TLB, inline caches) and the monomorphic last-hit table,
+    indexed like the translation tables.  The engine owns one for the main
+    domain ([main_ctx], wrapping [machine]); a serving worker installs its
+    own in domain-local storage ({!enter_serving}), and a domain without
+    one dispatches through the main context. *)
+type serve_ctx = {
+  sx_machine : Exec.machine;
+  mutable sx_epoch : epoch;
+  mutable sx_mono : (Translation.t * Translation.entry) option array array;
+}
 
 (** Retranslate-all sort inputs derived from the profile (C3 size table
     and resolved method-call edges).  Computing them re-scans the profile
@@ -69,7 +86,9 @@ type t = {
   cache : Simcpu.Codecache.t;
   (* dense per-function translation tables indexed by srckey pc:
      trans.(fid).(pc) is the slot for that srckey (O(1), allocation-free
-     lookup — no tuple hashing on the dispatch path) *)
+     lookup — no tuple hashing).  The compile side's working copy: written
+     by the write-lease holder only, and published as an epoch after every
+     change. *)
   mutable trans : slot option array array;
   (* srckeys where compilation failed / budget exhausted: don't retry *)
   mutable nocompile : bool array array;
@@ -89,24 +108,19 @@ type t = {
      adoption), prepared + placed forms aligned in publish order: the
      capture source for jumpstart images (§6.2) *)
   mutable last_opt : (Translation.prepared * int * Translation.t) array;
-  (* the epoch parallel-serving domains dispatch against; swapped with a
-     single atomic store by [publish_epoch] *)
+  (* the latest epoch; swapped with a single atomic store by
+     [publish_epoch] *)
   published : epoch Atomic.t;
-}
-
-(** Per-domain serving state: the pinned epoch, a private SimCPU machine
-    (i-cache, I-TLB, inline caches), and a private monomorphic last-hit
-    table mirroring the epoch's slot dimensions.  Lives in domain-local
-    storage; the main domain has none and keeps the historical fully
-    mutable dispatch path. *)
-type serve_ctx = {
-  sx_machine : Exec.machine;
-  mutable sx_epoch : epoch;
-  mutable sx_mono : (Translation.t * Translation.entry) option array array;
+  (* the dispatch context of every domain that has none of its own *)
+  main_ctx : serve_ctx;
 }
 
 let serve_key : serve_ctx option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
+
+(** The calling domain's dispatch context. *)
+let ctx_of (eng : t) : serve_ctx =
+  match Domain.DLS.get serve_key with Some c -> c | None -> eng.main_ctx
 
 let current : t option ref = ref None
 
@@ -142,14 +156,12 @@ let c_retranslate = Obs.Vmstats.counter "retranslate.runs"
    behavior); with [jit_workers >= 2] the burst runs on background
    domains while the main thread would keep serving (cf. server/startup),
    so the stall is only the serial prologue + publish.  The full burst
-   wall time is always recorded separately as [retranslate.compile_ms].
-   Both are recorded in milliseconds (the names say so; a timer's
-   accumulator is unit-agnostic). *)
-let t_pause = Obs.Vmstats.timer "retranslate.pause_ms"
-let t_compile = Obs.Vmstats.timer "retranslate.compile_ms"
-(* parallel-serving dispatch: misses in a worker's frozen epoch, and the
-   subset that ended in the interpreter (lazy translation absorbs the
-   difference; with LAZY_TRANSLATE=0 the two counters coincide) *)
+   wall time is always recorded separately as [retranslate.compile].
+   Both timers accumulate seconds. *)
+let t_pause = Obs.Vmstats.timer "retranslate.pause"
+let t_compile = Obs.Vmstats.timer "retranslate.compile"
+(* dispatch misses in the pinned epoch, and the subset that ended in the
+   interpreter (lazy translation absorbs the difference) *)
 let c_serving_miss = Obs.Vmstats.counter "serving.translation_miss"
 let c_serving_fallback = Obs.Vmstats.counter "serving.interp_fallback"
 (* lazy in-burst translation under the write lease *)
@@ -177,6 +189,13 @@ let fresh_trans (u : Hhbc.Hunit.t) : slot option array array =
 let fresh_nocompile (u : Hhbc.Hunit.t) : bool array array =
   Array.init (Hhbc.Hunit.num_funcs u)
     (fun fid -> Array.make (body_len u fid + 1) false)
+
+(* Sized from the unit, not from any epoch's rows, so srckeys that later
+   publishes add can be cached too. *)
+let fresh_mono (u : Hhbc.Hunit.t)
+  : (Translation.t * Translation.entry) option array array =
+  Array.init (Hhbc.Hunit.num_funcs u)
+    (fun fid -> Array.make (body_len u fid + 1) None)
 
 (** Grow the outer tables if the unit gained functions after install. *)
 let ensure_fid (eng : t) (fid : int) : unit =
@@ -213,7 +232,7 @@ let get_or_create_slot (eng : t) (fid : int) (pc : int) : slot =
   match row.(pc) with
   | Some sl -> sl
   | None ->
-    let sl = { sl_chain = [||]; sl_len = 0; sl_mono = None } in
+    let sl = { sl_chain = [||]; sl_len = 0 } in
     row.(pc) <- Some sl;
     sl
 
@@ -291,7 +310,7 @@ let prepare_region (eng : t) ~(snapshot : Region.Transcfg.snapshot option)
    List.length region.Rd.r_blocks)
 
 (** The publish half: place the prepared translation in the code cache and
-    account for it.  Serial, main domain only — code-cache offsets,
+    account for it.  Serial, write-lease holder only — code-cache offsets,
     translation ids and trace sequence numbers are assigned here, in
     whatever order the caller dictates. *)
 let finish_translation (eng : t) ((pr : Translation.prepared), (nblocks : int))
@@ -334,11 +353,9 @@ let publish (eng : t) (tr : Translation.t) =
   sl.sl_len <- sl.sl_len + 1
 
 (** Lazily compile a live or profiling translation at (fid, pc), reading
-    input types through [oracle].  The serial path feeds it the live
-    frame; the lazy in-burst path (write-lease drain) feeds it the type
-    vectors captured when a serving worker missed.  Caller must be the
-    single compile-side writer: the main domain outside a burst, or the
-    write-lease holder during one. *)
+    input types through [oracle] — the type vectors captured when a
+    dispatch missed.  Caller must be the single compile-side writer: the
+    write-lease holder. *)
 let compile_at (eng : t) ~(fid : int) ~(pc : int)
     ~(oracle : Rd.loc -> Hhbc.Rtype.t) : Translation.t option =
   if no_compile eng fid pc then None
@@ -408,17 +425,6 @@ let compile_at (eng : t) ~(fid : int) ~(pc : int)
     end
   end
 
-(** Lazily compile a translation for the live (frame, pc) — the serial
-    main-domain path. *)
-let compile_lazy (eng : t) (frame : Vm.Interp.frame) (pc : int)
-  : Translation.t option =
-  let oracle (loc : Rd.loc) : Hhbc.Rtype.t =
-    match loc with
-    | Rd.LLocal l -> Hhbc.Rtype.of_value frame.locals.(l)
-    | Rd.LStack d -> Hhbc.Rtype.of_value frame.stack.(frame.sp - 1 - d)
-  in
-  compile_at eng ~fid:frame.func.fn_id ~pc ~oracle
-
 (* ------------------------------------------------------------------ *)
 (* Entering compiled code                                              *)
 (* ------------------------------------------------------------------ *)
@@ -451,50 +457,36 @@ let entry_matches (frame : Vm.Interp.frame) (en : Translation.entry) : bool =
   end;
   matched
 
-(** Slot lookup against a frozen epoch (parallel-serving dispatch). *)
+(** Slot lookup against an epoch. *)
 let epoch_slot (ep : epoch) (fid : int) (pc : int) : slot option =
   if fid < Array.length ep.ep_trans then
     let row = ep.ep_trans.(fid) in
     if pc < Array.length row then row.(pc) else None
   else None
 
-(** Find a translation entry whose preconditions hold for the live state.
-    The monomorphic last-hit cache is consulted first: steady-state
-    re-entry validates only the cached entry's guards instead of walking
-    the whole retranslation chain.  On the main domain the cache lives in
-    the slot itself; a serving worker ([sx]) reads the frozen epoch's
-    slots and keeps the mono cache in its own domain-local table (frozen
-    slots are shared across domains and must not be written). *)
-let select_entry (eng : t) (sx : serve_ctx option) (frame : Vm.Interp.frame)
+(** Find a translation entry in the context's pinned epoch whose
+    preconditions hold for the live state.  The context's monomorphic
+    last-hit table is consulted first: steady-state re-entry validates
+    only the cached entry's guards instead of walking the whole
+    retranslation chain.  The table outlives same-generation adoptions,
+    eviction included, so a cached entry whose translation was evicted
+    never hits. *)
+let select_entry (eng : t) (ctx : serve_ctx) (frame : Vm.Interp.frame)
     (pc : int) : (Translation.t * Translation.entry) option =
   let fid = frame.func.fn_id in
-  let slot =
-    match sx with
-    | None -> find_slot eng fid pc
-    | Some c -> epoch_slot c.sx_epoch fid pc
-  in
-  match slot with
+  match epoch_slot ctx.sx_epoch fid pc with
   | None -> None
   | Some sl ->
-    let mono_get () =
-      match sx with
-      | None -> sl.sl_mono
-      | Some c ->
-        if fid < Array.length c.sx_mono && pc < Array.length c.sx_mono.(fid)
-        then c.sx_mono.(fid).(pc)
-        else None
-    in
-    let mono_set v =
-      match sx with
-      | None -> sl.sl_mono <- v
-      | Some c ->
-        if fid < Array.length c.sx_mono && pc < Array.length c.sx_mono.(fid)
-        then c.sx_mono.(fid).(pc) <- v
+    let mono = ctx.sx_mono in
+    let cached =
+      eng.opts.dispatch_caches && fid < Array.length mono
+      && pc < Array.length mono.(fid)
     in
     let mono_hit =
       if eng.opts.dispatch_caches then
-        match mono_get () with
-        | Some (_, en) as hit when entry_matches frame en ->
+        match (if cached then mono.(fid).(pc) else None) with
+        | Some (tr, en) as hit
+          when (not tr.Translation.tr_evicted) && entry_matches frame en ->
           Obs.Vmstats.bump c_mono_hit;
           hit
         | _ ->
@@ -523,98 +515,95 @@ let select_entry (eng : t) (sx : serve_ctx option) (frame : Vm.Interp.frame)
        | Some _ ->
          Obs.Vmstats.bump c_chain_hit;
          Obs.Vmstats.observe h_chain_len sl.sl_len;
-         if eng.opts.dispatch_caches then mono_set !found
+         if cached then mono.(fid).(pc) <- !found
        | None -> Obs.Vmstats.bump c_chain_miss);
       !found
 
 (* ------------------------------------------------------------------ *)
-(* Lazy in-burst translation (write lease + incremental epoch publish) *)
+(* Epochs: publish and adopt                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** Layer freshly compiled translations onto the current epoch as a delta
-    (incremental publish): copy the outer table, build fresh rows only
-    for the affected functions, and append each translation to a private
-    copy of its chain — rows of untouched functions are shared with the
-    previous epoch, which is safe because published slots are never
-    mutated.  One atomic store makes the delta visible; workers adopt it
-    at their next [begin_request] boundary.  Write-lease holder (or main
-    domain) only, so the sequence of published epochs is total. *)
-let publish_epoch_delta (eng : t) (trs : Translation.t list) : unit =
-  if trs <> [] then begin
-    let prev = Atomic.get eng.published in
-    let nfid =
-      List.fold_left
-        (fun a (tr : Translation.t) -> max a (tr.Translation.tr_fid + 1))
-        (Array.length prev.ep_trans) trs
-    in
-    let ep_trans = Array.make nfid [||] in
-    Array.blit prev.ep_trans 0 ep_trans 0 (Array.length prev.ep_trans);
-    List.iter
-      (fun (tr : Translation.t) ->
-         let fid = tr.Translation.tr_fid and pc = tr.Translation.tr_srckey in
-         let row0 = ep_trans.(fid) in
-         let row = Array.make (max (Array.length row0) (pc + 1)) None in
-         Array.blit row0 0 row 0 (Array.length row0);
-         let chain =
-           match row.(pc) with
-           | Some sl -> Array.append (Array.sub sl.sl_chain 0 sl.sl_len) [| tr |]
-           | None -> [| tr |]
-         in
-         row.(pc) <-
-           Some { sl_chain = chain; sl_len = Array.length chain;
-                  sl_mono = None };
-         ep_trans.(fid) <- row)
-      trs;
-    let lo, hi = Simcpu.Codecache.main_range eng.cache in
-    Obs.Vmstats.bump c_epoch_delta;
-    Atomic.set eng.published
-      { ep_seq = prev.ep_seq + 1;
-        ep_gen = prev.ep_gen;
-        ep_trans;
-        ep_huge = prev.ep_huge;
-        ep_main_lo = lo;
-        ep_main_hi = hi }
-  end
+(** Adopt [ep] into [ctx].  A generation change (retranslate-all,
+    jumpstart adoption) drops the mono table, whose entries are then
+    previous-generation translations; a same-generation epoch keeps it,
+    since every hit re-validates its entry's guards and skips evicted
+    translations.  The I-TLB then follows the epoch's hot-section map
+    (remapped only when that map moved). *)
+let adopt (eng : t) (ctx : serve_ctx) (ep : epoch) : unit =
+  if ep.ep_gen <> ctx.sx_epoch.ep_gen then
+    ctx.sx_mono <- fresh_mono eng.hunit;
+  ctx.sx_epoch <- ep;
+  let tlb = ctx.sx_machine.Exec.itlb in
+  if tlb.Simcpu.Itlb.huge <> ep.ep_huge
+  || tlb.Simcpu.Itlb.huge_lo <> ep.ep_main_lo
+  || tlb.Simcpu.Itlb.huge_hi <> ep.ep_main_hi
+  then
+    Simcpu.Itlb.set_huge tlb ~enabled:ep.ep_huge ~lo:ep.ep_main_lo
+      ~hi:ep.ep_main_hi
 
-(** Republish the affected functions' dispatch rows from the live tables
-    (the eviction counterpart of {!publish_epoch_delta}: that one layers
-    appended chains onto the previous epoch; this one replaces whole rows
-    after chains shrank).  Same incremental shape — rows of untouched
-    functions are shared with the previous epoch, the generation is
-    unchanged, one atomic store publishes — so adopting workers keep their
-    monomorphic caches and serving never pauses.  Write-lease holder
-    only. *)
-let publish_epoch_rebuild (eng : t) (fids : int list) : unit =
-  if fids <> [] then begin
-    let prev = Atomic.get eng.published in
-    let freeze_slot (sl : slot) : slot =
-      { sl_chain = Array.sub sl.sl_chain 0 sl.sl_len;
-        sl_len = sl.sl_len;
-        sl_mono = None }
-    in
-    let nfid =
-      List.fold_left (fun a fid -> max a (fid + 1))
-        (Array.length prev.ep_trans) fids
-    in
-    let ep_trans = Array.make nfid [||] in
-    Array.blit prev.ep_trans 0 ep_trans 0 (Array.length prev.ep_trans);
-    List.iter
-      (fun fid ->
-         ep_trans.(fid) <-
-           (if fid < Array.length eng.trans then
-              Array.map (Option.map freeze_slot) eng.trans.(fid)
-            else [||]))
-      fids;
-    let lo, hi = Simcpu.Codecache.main_range eng.cache in
-    Obs.Vmstats.bump c_epoch_delta;
-    Atomic.set eng.published
-      { ep_seq = prev.ep_seq + 1;
-        ep_gen = prev.ep_gen;
-        ep_trans;
-        ep_huge = prev.ep_huge;
-        ep_main_lo = lo;
-        ep_main_hi = hi }
-  end
+(* Adopt the latest epoch unless [ctx] already pinned it; true if it
+   adopted one. *)
+let catch_up (eng : t) (ctx : serve_ctx) : bool =
+  let ep = Atomic.get eng.published in
+  ep.ep_seq <> ctx.sx_epoch.ep_seq && (adopt eng ctx ep; true)
+
+(* Does frozen slot [f] still hold live slot [sl]'s chain? *)
+let same_chain (f : slot) (sl : slot) : bool =
+  let i = ref 0 in
+  while !i < sl.sl_len && !i < f.sl_len && f.sl_chain.(!i) == sl.sl_chain.(!i)
+  do incr i done;
+  f.sl_len = sl.sl_len && !i = sl.sl_len
+
+(** Publish the translation tables as a new epoch with one atomic store,
+    and adopt it on the publishing domain at once.  [fids] limits the
+    rebuild to those functions' rows and shares every other row with the
+    previous epoch: every table change publishes before the write lease
+    is released, so the tables and the latest epoch agree on each row
+    nobody touched.  Without [fids] every row is rebuilt.  Write-lease
+    holder (or an engine nobody serves from yet) only, so the sequence of
+    published epochs is total. *)
+let publish_epoch ?(fids : int list option) (eng : t) : unit =
+  let prev = Atomic.get eng.published in
+  (* frozen rows end at their last slot ([epoch_slot] reads past the end
+     as empty), and a slot whose chain is unchanged keeps its previous
+     frozen copy *)
+  let freeze_row fid =
+    let live = eng.trans.(fid) in
+    let n = ref (Array.length live) in
+    while !n > 0 && Option.is_none live.(!n - 1) do decr n done;
+    Array.init !n (fun pc ->
+        match live.(pc), epoch_slot prev fid pc with
+        | None, _ -> None
+        | Some sl, (Some f as frozen) when same_chain f sl -> frozen
+        | Some sl, _ ->
+          Some { sl_chain = Array.sub sl.sl_chain 0 sl.sl_len;
+                 sl_len = sl.sl_len })
+  in
+  let ep_trans =
+    match fids with
+    | None -> Array.init (Array.length eng.trans) freeze_row
+    | Some fids ->
+      Obs.Vmstats.bump c_epoch_delta;
+      let rows = Array.make (Array.length eng.trans) [||] in
+      Array.blit prev.ep_trans 0 rows 0 (Array.length prev.ep_trans);
+      List.iter (fun fid -> rows.(fid) <- freeze_row fid) fids;
+      rows
+  in
+  let lo, hi = Simcpu.Codecache.main_range eng.cache in
+  let ep =
+    { ep_seq = prev.ep_seq + 1;
+      ep_gen = eng.generation;
+      ep_trans;
+      ep_huge = eng.opts.huge_pages && eng.optimized_published;
+      ep_main_lo = lo;
+      ep_main_hi = hi }
+  in
+  Atomic.set eng.published ep;
+  adopt eng (ctx_of eng) ep
+
+(* ------------------------------------------------------------------ *)
+(* Lazy translation (write lease + incremental epoch publish)          *)
+(* ------------------------------------------------------------------ *)
 
 (* First entry of [tr] whose guards are subsumed by the captured types —
    the entry the requester's chain walk would have selected. *)
@@ -629,16 +618,48 @@ let entry_for_types (tr : Translation.t) ~(locals : Hhbc.Rtype.t array)
   in
   go 0
 
+(** Smash [src]'s bind exit [eid] to [target]: target first, then
+    generation, so a reader racing the store sees a dead link or a fully
+    written one (and re-validates the entry's guards in any case).  Never
+    binds to an evicted translation; a link already bound to [target] in
+    this generation is left alone.  Write-lease holder only. *)
+let smash_link (eng : t) ((src : Translation.t), (eid : int))
+    (((dst : Translation.t), (en : Translation.entry)) as target) : unit =
+  let lk = src.Translation.tr_links.(eid) in
+  let bound =
+    lk.Translation.lk_gen = eng.generation
+    && (match lk.Translation.lk_target with
+        | Some (d, e) -> d == dst && e == en
+        | None -> false)
+  in
+  if not (bound || dst.Translation.tr_evicted) then begin
+    lk.Translation.lk_target <- Some target;
+    lk.Translation.lk_gen <- eng.generation;
+    Obs.Vmstats.bump c_link_smashed;
+    if Obs.Trace.on Obs.Trace.Link then
+      Obs.Trace.emit Obs.Trace.Link
+        [ ("event", Obs.Trace.S "smash");
+          ("src", Obs.Trace.I src.Translation.tr_id);
+          ("exit", Obs.Trace.I eid);
+          ("dst", Obs.Trace.I dst.Translation.tr_id) ]
+  end
+
+(* Link an exit resolved in [ctx]'s epoch, unless that epoch is of an
+   older generation than the tables.  Write-lease holder only. *)
+let bind_exit (eng : t) (ctx : serve_ctx) (via : Translation.t * int)
+    (target : Translation.t * Translation.entry) : unit =
+  if ctx.sx_epoch.ep_gen = eng.generation then smash_link eng via target
+
 (** Drain the translation-request queue under the write lease: compile
     each request against the live profile/TransCFG state (which the lease
-    protects), smash the requesting bind jumps, and publish everything
-    that landed as one epoch delta.  Requests are consumed in
-    queue-sequence order, so translation ids, code-cache offsets,
-    inline-cache ids and link smashes are assigned in a canonical
-    schedule-independent order per queue history.  Caller MUST hold the
-    write lease. *)
+    protects), smash the requesting bind jumps, and publish the rows that
+    changed as one epoch.  Requests are consumed in queue-sequence order,
+    so translation ids, code-cache offsets, inline-cache ids and link
+    smashes are assigned in a canonical schedule-independent order per
+    queue history.  Caller MUST hold the write lease. *)
 let drain_translation_queue (eng : t) : unit =
-  let landed = ref [] in
+  (* functions that gained a translation, and how many landed *)
+  let fids = ref [] and compiled = ref 0 in
   let consumed =
     Translate_queue.drain (fun rq ->
         let fid = rq.Translate_queue.rq_fid
@@ -648,9 +669,9 @@ let drain_translation_queue (eng : t) : unit =
         if not (no_compile eng fid pc) then begin
           let sl = find_slot eng fid pc in
           let chain_len = match sl with Some sl -> sl.sl_len | None -> 0 in
-          (* authoritative dedup: an earlier drain (or the requester's
-             pre-burst warmup) may already cover these types — the
-             requester just hasn't adopted the epoch that has it *)
+          (* authoritative dedup: an earlier drain may already cover these
+             types — the requester just hasn't adopted the epoch that has
+             it *)
           let covered =
             match sl with
             | None -> false
@@ -676,49 +697,46 @@ let drain_translation_queue (eng : t) : unit =
             match compile_at eng ~fid ~pc ~oracle with
             | Some tr ->
               Obs.Vmstats.bump c_lazy_compiled;
-              (* smash the requesting exit's bind jump under the lease:
-                 target first, then generation, so a racing reader either
-                 sees a dead link or a fully written one (and re-validates
-                 the entry's guards in any case) *)
-              (match rq.Translate_queue.rq_via with
-               | Some (src, eid) when eng.opts.dispatch_caches ->
-                 (match entry_for_types tr ~locals ~stack with
-                  | Some en ->
-                    let lk = src.Translation.tr_links.(eid) in
-                    lk.Translation.lk_target <- Some (tr, en);
-                    lk.Translation.lk_gen <- eng.generation;
-                    Obs.Vmstats.bump c_link_smashed
-                  | None -> ())
+              (match rq.Translate_queue.rq_via,
+                     entry_for_types tr ~locals ~stack with
+               | Some via, Some en -> smash_link eng via (tr, en)
                | _ -> ());
-              landed := tr :: !landed
+              incr compiled;
+              if not (List.mem fid !fids) then fids := fid :: !fids
             | None -> ()
           end
         end)
   in
-  let landed = List.rev !landed in
-  publish_epoch_delta eng landed;
+  if !fids <> [] then publish_epoch eng ~fids:!fids;
   if consumed > 0 && Obs.Trace.on Obs.Trace.Lease then
     Obs.Trace.emit Obs.Trace.Lease
       [ ("event", Obs.Trace.S "drain");
         ("requests", Obs.Trace.I consumed);
-        ("compiled", Obs.Trace.I (List.length landed));
+        ("compiled", Obs.Trace.I !compiled);
         ("epoch", Obs.Trace.I (Atomic.get eng.published).ep_seq) ]
 
-(** Frozen-dispatch miss with lazy translation on: capture the frame's
-    types, enqueue a translation request, and try to win the write lease.
-    The winner drains the whole queue (its own request included) and —
-    still under the lease, while [eng.trans] is stable — looks its own
-    answer up so it can enter the fresh code immediately, exactly like
-    the single-domain lazy path; losers return [None] and interpret,
-    adopting the result via the epoch delta at a later request boundary. *)
-let lazy_translate_miss (eng : t) (frame : Vm.Interp.frame) (pc : int)
-    ~(via : (Translation.t * int) option)
+(** A dispatch miss.  Unless the srckey cannot compile or its chain in the
+    pinned epoch is already [max_live_per_srckey] long: capture the
+    frame's types, enqueue a translation request, and try to win the
+    write lease.  The winner drains the whole queue (its own request
+    included), adopts the latest epoch, looks its own answer up and links
+    the exit it came through, so it enters the fresh code at once; a
+    loser returns [None] and interprets, adopting the result at a later
+    request boundary. *)
+let translate_miss (eng : t) (ctx : serve_ctx) (frame : Vm.Interp.frame)
+    (pc : int) ~(via : (Translation.t * int) option)
   : (Translation.t * Translation.entry) option =
   let fid = frame.func.fn_id in
+  let chain_len =
+    match epoch_slot ctx.sx_epoch fid pc with
+    | Some sl -> sl.sl_len
+    | None -> 0
+  in
   (* racy read of [nocompile] (rows are replaced wholesale under the
      lease): a stale [true] skips a request that would be rejected
      anyway, a stale [false] is re-checked at drain time *)
-  if no_compile eng fid pc then None
+  if chain_len >= eng.opts.max_live_per_srckey || no_compile eng fid pc
+  then None
   else begin
     let locals = Array.map Hhbc.Rtype.of_value frame.locals in
     let stack =
@@ -741,24 +759,13 @@ let lazy_translate_miss (eng : t) (frame : Vm.Interp.frame) (pc : int)
                 ((Runtime.Ledger.acct ()).Runtime.Ledger.a_cycles - lw0))
         (fun () ->
           drain_translation_queue eng;
-          match find_slot eng fid pc with
-          | None -> None
-          | Some sl ->
-            let found = ref None in
-            let i = ref 0 in
-            while !found = None && !i < sl.sl_len do
-              let tr = sl.sl_chain.(!i) in
-              let entries = tr.Translation.tr_entries in
-              let j = ref 0 in
-              while !found = None && !j < Array.length entries do
-                let en = entries.(!j) in
-                if entry_matches frame en then found := Some (tr, en);
-                incr j
-              done;
-              incr i
-            done;
-            if !found <> None then Obs.Vmstats.bump c_lazy_entered;
-            !found)
+          ignore (catch_up eng ctx);
+          let found = select_entry eng ctx frame pc in
+          if found <> None then Obs.Vmstats.bump c_lazy_entered;
+          (match found, via with
+           | Some target, Some v -> bind_exit eng ctx v target
+           | _ -> ());
+          found)
     else None
   end
 
@@ -790,27 +797,21 @@ let materialize_inline (eng : t) (tr : Translation.t)
            (fun _ -> { Vm.Interp.it_arr = None; it_pos = 0 }));
     acct = Vm.Interp.no_acct; pc_ = 0; ret_ = VUninit; cyc_ = 0; icnt_ = 0 }
 
-(** Attempt to enter compiled code at (frame, pc); handles chaining through
-    exits until compiled execution ends.  This function implements the
-    [translation_hook] contract.
+(** Attempt to enter compiled code at (frame, pc) through the dispatch
+    context [ctx]; handles chaining through exits until compiled execution
+    ends.  [install]'s translation hook calls this with the calling
+    domain's context ({!ctx_of}), implementing the [translation_hook]
+    contract.
 
-    Two dispatch modes share this body.  On the main domain ([sx = None])
-    the historical fully mutable path runs: lazy compilation on misses,
-    bind-jump smashing, slot-resident mono caches, TransCFG arc recording.
-    On a serving worker ([sx = Some _]) the frozen path runs: lookups hit
-    the pinned epoch only, a miss falls back to the interpreter (workers
-    never compile — the shared code cache and id allocators stay
-    single-writer), links are followed read-only against the epoch's
-    generation but never smashed, and the machine is the worker's own. *)
-let try_enter (eng : t) (frame : Vm.Interp.frame) (pc : int)
-  : Vm.Interp.enter_result =
-  let sx = Domain.DLS.get serve_key in
-  let machine, gen =
-    match sx with
-    | None -> eng.machine, eng.generation
-    | Some c -> c.sx_machine, c.sx_epoch.ep_gen
-  in
-  let frozen = sx <> None in
+    Every domain runs this one path: lookups read only the context's
+    pinned epoch, the machine is the context's, a miss takes the
+    write-lease path ({!translate_miss}), links are followed against the
+    pinned epoch's generation, an exit resolved by lookup is linked while
+    holding the lease (skipped when the lease is busy), and TransCFG arcs
+    go to the domain's profile shard. *)
+let try_enter (eng : t) (ctx : serve_ctx) (frame : Vm.Interp.frame)
+    (pc : int) : Vm.Interp.enter_result =
+  let machine = ctx.sx_machine in
   let prev_prof_block : int option ref = ref None in
   (* [via] is the (translation, exit id) we are chaining out of, if any:
      when the exit's target resolves, the link is memoized there so later
@@ -823,7 +824,7 @@ let try_enter (eng : t) (frame : Vm.Interp.frame) (pc : int)
         match via with
         | Some (src, eid) when eng.opts.dispatch_caches ->
           let lk = src.Translation.tr_links.(eid) in
-          if lk.Translation.lk_gen = gen then
+          if lk.Translation.lk_gen = ctx.sx_epoch.ep_gen then
             (match lk.Translation.lk_target with
              | Some (_, en) as tgt when entry_matches frame en ->
                Obs.Vmstats.bump c_link_follow;
@@ -840,58 +841,25 @@ let try_enter (eng : t) (frame : Vm.Interp.frame) (pc : int)
       match linked with
       | Some _ -> linked
       | None ->
-        let found =
-          match select_entry eng sx frame pc with
-          | Some e -> Some e
-          | None ->
-            if frozen then begin
-              (* a serving worker missed in its frozen epoch *)
-              Obs.Vmstats.bump c_serving_miss;
-              if eng.opts.mode = Jit_options.Interp
-              || not eng.opts.lazy_translate
-              then None
-              else lazy_translate_miss eng frame pc ~via
-            end
-            else if eng.opts.mode = Jit_options.Interp then None
-            else begin
-              (* lazy compilation; limit chain growth per srckey *)
-              let chain_len =
-                match find_slot eng frame.func.fn_id pc with
-                | Some sl -> sl.sl_len
-                | None -> 0
-              in
-              if chain_len >= eng.opts.max_live_per_srckey then None
-              else
-                match compile_lazy eng frame pc with
-                | Some _ -> select_entry eng sx frame pc
-                | None -> None
-            end
-        in
-        (* smash the bind: remember this exit's resolved target.  Frozen
-           dispatch never smashes: links are shared, mutable, and owned by
-           the main domain's current generation. *)
-        (match found, via with
-         | Some (dst, _), Some (src, eid)
-           when eng.opts.dispatch_caches && not frozen ->
-           let lk = src.Translation.tr_links.(eid) in
-           lk.Translation.lk_gen <- eng.generation;
-           lk.Translation.lk_target <- found;
-           Obs.Vmstats.bump c_link_smashed;
-           if Obs.Trace.on Obs.Trace.Link then
-             Obs.Trace.emit Obs.Trace.Link
-               [ ("event", Obs.Trace.S "smash");
-                 ("src", Obs.Trace.I src.Translation.tr_id);
-                 ("exit", Obs.Trace.I eid);
-                 ("dst", Obs.Trace.I dst.Translation.tr_id) ]
-         | _ -> ());
-        found
+        match select_entry eng ctx frame pc with
+        | Some target as found ->
+          (match via with
+           | Some v
+             when eng.opts.dispatch_caches && Translate_queue.try_acquire () ->
+             (match bind_exit eng ctx v target with
+              | () -> Translate_queue.release ()
+              | exception e -> Translate_queue.release (); raise e)
+           | _ -> ());
+          found
+        | None ->
+          Obs.Vmstats.bump c_serving_miss;
+          if eng.opts.mode = Jit_options.Interp then None
+          else translate_miss eng ctx frame pc ~via
     in
     match entry with
     | None ->
-      if frozen then begin
-        Obs.Vmstats.bump c_serving_fallback;
-        if Obs.Span.on () then Obs.Span.count Obs.Span.Interp
-      end;
+      Obs.Vmstats.bump c_serving_fallback;
+      if Obs.Span.on () then Obs.Span.count Obs.Span.Interp;
       if first then Vm.Interp.NoTranslation else Vm.Interp.Resumed pc
     | Some (tr, en) ->
       let rb = en.Translation.en_block and idx = en.Translation.en_idx in
@@ -913,11 +881,7 @@ let try_enter (eng : t) (frame : Vm.Interp.frame) (pc : int)
                 [ ("event", Obs.Trace.S "arc");
                   ("src", Obs.Trace.I src);
                   ("dst", Obs.Trace.I rb.Rd.b_id) ];
-            (* the TransCFG arc registry is main-domain state (global
-               hashtables); frozen dispatch drops arcs rather than race it.
-               The per-block counters and targeted profiles still shard
-               through Vm.Prof, so worker profiling weight is not lost. *)
-            if not frozen then Region.Transcfg.record_arc ~src ~dst:rb.Rd.b_id
+            Region.Transcfg.record_arc ~src ~dst:rb.Rd.b_id
           | None -> ());
          prev_prof_block := Some rb.Rd.b_id
        | _ -> prev_prof_block := None);
@@ -1036,30 +1000,6 @@ let sort_inputs (eng : t) (funcs : int list) : sort_cache =
     eng.sort_cache <- Some sc;
     sc
 
-(** Publish the current dispatch state as a new immutable epoch (single
-    atomic store).  Slots are trimmed private copies: in-flight requests
-    keep dispatching on the epoch they pinned, new requests adopt this one
-    at their next request boundary, and no later main-domain mutation can
-    reach either.  Called by [install] (the empty gen-0 epoch) and at the
-    end of every retranslate-all; a scheduler also calls it before fanning
-    out, so lazily compiled warmup translations become visible. *)
-let publish_epoch (eng : t) : unit =
-  let freeze_slot (sl : slot) : slot =
-    { sl_chain = Array.sub sl.sl_chain 0 sl.sl_len;
-      sl_len = sl.sl_len;
-      sl_mono = None }
-  in
-  let ep_trans = Array.map (Array.map (Option.map freeze_slot)) eng.trans in
-  let lo, hi = Simcpu.Codecache.main_range eng.cache in
-  let prev = Atomic.get eng.published in
-  Atomic.set eng.published
-    { ep_seq = prev.ep_seq + 1;
-      ep_gen = eng.generation;
-      ep_trans;
-      ep_huge = eng.opts.huge_pages && eng.optimized_published;
-      ep_main_lo = lo;
-      ep_main_hi = hi }
-
 (** The global retranslation trigger (§5.1): form regions for every profiled
     function, optimize, sort functions with C3, and publish the optimized
     code.  Profiling translations are dropped (their section is reclaimed).
@@ -1164,9 +1104,6 @@ let retranslate_all_locked (eng : t) : int =
     prepared;
   eng.last_opt <- Array.of_list (List.rev !placed);
   eng.optimized_published <- true;
-  (* map the hot section onto huge pages (§5.1.2) *)
-  let lo, hi = Simcpu.Codecache.main_range eng.cache in
-  Simcpu.Itlb.set_huge eng.machine.itlb ~enabled:eng.opts.huge_pages ~lo ~hi;
   if Obs.Trace.on Obs.Trace.Retranslate then
     Obs.Trace.emit Obs.Trace.Retranslate
       [ ("generation", Obs.Trace.I eng.generation);
@@ -1176,15 +1113,16 @@ let retranslate_all_locked (eng : t) : int =
   (* stall accounting: the compile window [t1, t2] stalls the main domain
      only when it compiles inline (one worker); with background workers the
      main thread is merely waiting and would keep serving requests *)
-  let compile_ms = (t2 -. t1) *. 1000. in
-  let stall_ms =
-    ((t1 -. t0) +. (t3 -. t2)) *. 1000.
-    +. (if eng.opts.jit_workers <= 1 then compile_ms else 0.0)
+  let compile_s = t2 -. t1 in
+  let stall_s =
+    (t1 -. t0) +. (t3 -. t2)
+    +. (if eng.opts.jit_workers <= 1 then compile_s else 0.0)
   in
-  Obs.Vmstats.record_seconds t_compile compile_ms;
-  Obs.Vmstats.record_seconds t_pause stall_ms;
-  (* make the optimized tables visible to parallel-serving domains: one
-     atomic swap; requests in flight finish on the epoch they pinned *)
+  Obs.Vmstats.record_seconds t_compile compile_s;
+  Obs.Vmstats.record_seconds t_pause stall_s;
+  (* one atomic swap publishes the optimized tables; this domain adopts
+     them at once, mapping the hot section onto huge pages (§5.1.2), and
+     requests in flight elsewhere finish on the epoch they pinned *)
   publish_epoch eng;
   !count
 
@@ -1221,16 +1159,18 @@ let decay_liveness (eng : t) : unit =
     eng.last_opt
 
 (** Evict optimized translations whose decayed liveness fell below
-    [threshold].  For each victim: the srckey chain is pruned (and its
-    mono cache dropped), every smashed bind jump pointing at it anywhere
+    [threshold].  For each victim: the srckey chain is pruned, every
+    smashed bind jump pointing at it anywhere
     in the surviving tables is unpatched through the link machinery, its
     Main/Cold extents become code-cache holes, and — when a function's
     optimized code is entirely gone — its stale profile is pruned so the
     next retranslate-all cannot resurrect a traffic phase that has
-    passed.  The shrunk rows are published as an incremental epoch
-    rebuild; requests in flight finish on the epoch they pinned (victim
-    objects stay reachable and correct), new requests stop seeing the
-    victims at their next boundary.  Translations younger than two ticks
+    passed.  The shrunk rows are republished as an epoch; requests in
+    flight finish on the epoch they pinned (victim objects stay reachable
+    and correct), new requests stop seeing the victims at their next
+    boundary, and mono tables — which keep their entries across this
+    same-generation epoch — never hit an evicted translation.
+    Translations younger than two ticks
     are never victims: freshly placed code has had no chance to
     accumulate a score.  Caller must hold the write lease. *)
 let evict_cold_locked (eng : t) ~(threshold : int) : int =
@@ -1268,8 +1208,8 @@ let evict_cold_locked (eng : t) ~(threshold : int) : int =
                ("bytes", Obs.Trace.I tr.Translation.tr_bytes);
                ("score", Obs.Trace.I tr.Translation.tr_live_score) ])
       victims;
-    (* prune victims out of their srckey chains; drop mono caches that
-       would otherwise keep re-validating a dead entry *)
+    (* prune victims out of their srckey chains (mono tables skip evicted
+       translations on their own) *)
     Hashtbl.iter
       (fun fid () ->
          if fid < Array.length eng.trans then
@@ -1284,13 +1224,7 @@ let evict_cold_locked (eng : t) ~(threshold : int) : int =
                  let keep = Array.of_list !keep in
                  if Array.length keep <> sl.sl_len then begin
                    sl.sl_chain <- keep;
-                   sl.sl_len <- Array.length keep;
-                   sl.sl_mono <- None
-                 end else begin
-                   match sl.sl_mono with
-                   | Some (tr, _) when tr.Translation.tr_evicted ->
-                     sl.sl_mono <- None
-                   | _ -> ()
+                   sl.sl_len <- Array.length keep
                  end
                | None -> ())
              eng.trans.(fid))
@@ -1298,8 +1232,8 @@ let evict_cold_locked (eng : t) ~(threshold : int) : int =
     (* unpatch incoming smashed bind jumps: scan every surviving chain's
        link slots and revert those whose target died.  Links smashed in
        the current generation count as invalidations (the same counter a
-       retranslate-all generation bump feeds); a frozen reader racing the
-       store either sees the old target — still a correct, reachable
+       retranslate-all generation bump feeds); a reader racing the store
+       either sees the old target — still a correct, reachable
        translation — or the unlinked state. *)
     Array.iter
       (fun row ->
@@ -1338,8 +1272,8 @@ let evict_cold_locked (eng : t) ~(threshold : int) : int =
              eng.trans.(fid);
          if not !any_opt then Region.Transcfg.prune_func fid)
       affected;
-    publish_epoch_rebuild eng
-      (Hashtbl.fold (fun fid () acc -> fid :: acc) affected []);
+    publish_epoch eng
+      ~fids:(Hashtbl.fold (fun fid () acc -> fid :: acc) affected []);
     List.length victims
   end
 
@@ -1348,9 +1282,10 @@ let evict_cold_locked (eng : t) ~(threshold : int) : int =
     closing the eviction holes.  [Translation.relocate] rewrites each
     survivor's instruction addresses in place, and since links, mono
     caches and published epochs all hold the translation objects, the
-    move is visible everywhere without a fixup pass.  The tightened hot
-    extent is remapped onto huge pages and the full state republished
-    (same generation — adopting workers keep their mono caches), so the
+    move is visible everywhere without a fixup pass.  The full state is
+    republished (same generation — adopting contexts keep their mono
+    tables) and adopting it remaps the tightened hot extent onto huge
+    pages, so the
     i-cache/I-TLB footprint shrinks back to the live code.  Returns the
     hole bytes closed (0 when there were none).  Caller must hold the
     write lease. *)
@@ -1371,8 +1306,6 @@ let compact_tc_locked (eng : t) : int =
          ignore (Translation.relocate ~cache:eng.cache tr))
       survivors;
     eng.last_opt <- survivors;
-    let lo, hi = Simcpu.Codecache.main_range eng.cache in
-    Simcpu.Itlb.set_huge eng.machine.itlb ~enabled:eng.opts.huge_pages ~lo ~hi;
     if Obs.Trace.on Obs.Trace.Retranslate then
       Obs.Trace.emit Obs.Trace.Retranslate
         [ ("event", Obs.Trace.S "tc_compact");
@@ -1520,8 +1453,6 @@ let adopt_image (eng : t) (im : Jumpstart.image) : unit =
        end)
     im.Jumpstart.im_links;
   eng.optimized_published <- true;
-  let lo, hi = Simcpu.Codecache.main_range eng.cache in
-  Simcpu.Itlb.set_huge eng.machine.itlb ~enabled:eng.opts.huge_pages ~lo ~hi;
   if Obs.Trace.on Obs.Trace.Retranslate then
     Obs.Trace.emit Obs.Trace.Retranslate
       [ ("event", Obs.Trace.S "jumpstart_adopt");
@@ -1539,7 +1470,7 @@ let call_func (eng : t) (u : Hhbc.Hunit.t) (fid : int) (args : value array)
   Vm.Prof.record_func_entry fid;
   let f = Hhbc.Hunit.func u fid in
   let frame = Vm.Interp.make_frame u f args this_ in
-  match try_enter eng frame 0 with
+  match try_enter eng (ctx_of eng) frame 0 with
   | Vm.Interp.Returned v -> v
   | Vm.Interp.Resumed pc -> Vm.Interp.run frame pc
   | Vm.Interp.NoTranslation -> Vm.Interp.run frame 0
@@ -1570,10 +1501,11 @@ let install ?(opts : Jit_options.t option) (u : Hhbc.Hunit.t) : t =
   Obs.Profiler.reset ();
   Obs.Snapshot.configure ?path:opts.snapshot_out
     ~every:opts.snapshot_interval ();
+  let machine = Exec.create_machine () in
   let eng = {
     opts;
     hunit = u;
-    machine = Exec.create_machine ();
+    machine;
     cache = Simcpu.Codecache.create ?budget:opts.code_budget ();
     trans = fresh_trans u;
     nocompile = fresh_nocompile u;
@@ -1585,8 +1517,12 @@ let install ?(opts : Jit_options.t option) (u : Hhbc.Hunit.t) : t =
     sort_cache = None;
     last_opt = [||];
     published = Atomic.make empty_epoch;
+    main_ctx =
+      { sx_machine = machine; sx_epoch = empty_epoch; sx_mono = fresh_mono u };
   } in
   current := Some eng;
+  (* the installing domain dispatches through the new main context *)
+  Domain.DLS.set serve_key None;
   (* translation ids, inline-cache ids and TransCFG block ids restart per
      engine: sequential runs (bench determinism sweeps) produce identical
      tc-print reports and trace streams *)
@@ -1612,7 +1548,8 @@ let install ?(opts : Jit_options.t option) (u : Hhbc.Hunit.t) : t =
      Vm.Interp.hook_active := false
    end else begin
      Vm.Interp.call_dispatch := (fun u fid args this_ -> call_func eng u fid args this_);
-     Vm.Interp.translation_hook := (fun frame pc -> try_enter eng frame pc);
+     Vm.Interp.translation_hook :=
+       (fun frame pc -> try_enter eng (ctx_of eng) frame pc);
      Vm.Interp.hook_active := true
    end);
   publish_epoch eng;
@@ -1622,49 +1559,27 @@ let install ?(opts : Jit_options.t option) (u : Hhbc.Hunit.t) : t =
 (* Parallel request serving (per-domain dispatch contexts)             *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_mono (ep : epoch)
-  : (Translation.t * Translation.entry) option array array =
-  Array.map (fun row -> Array.make (Array.length row) None) ep.ep_trans
-
-let apply_epoch_itlb (ctx : serve_ctx) : unit =
-  Simcpu.Itlb.set_huge ctx.sx_machine.Exec.itlb ~enabled:ctx.sx_epoch.ep_huge
-    ~lo:ctx.sx_epoch.ep_main_lo ~hi:ctx.sx_epoch.ep_main_hi
-
 (** Turn this domain into a serving worker: pin the latest published epoch
-    and install a frozen dispatch context (private machine, private mono
+    in a dispatch context of its own (private machine, private mono
     table).  The scheduler calls this once per worker domain. *)
 let enter_serving (eng : t) : unit =
   let ep = Atomic.get eng.published in
   let ctx =
     { sx_machine = Exec.create_machine (); sx_epoch = ep;
-      sx_mono = fresh_mono ep }
+      sx_mono = fresh_mono eng.hunit }
   in
-  apply_epoch_itlb ctx;
+  adopt eng ctx ep;
   Domain.DLS.set serve_key (Some ctx)
 
-(** Request boundary: adopt the latest published epoch if it changed.  The
-    mono table is rebuilt (its entries point at the old epoch's chains)
-    and the I-TLB huge-page mapping tracks the new hot-section extent. *)
+(** Request boundary: the calling domain's context adopts the latest
+    published epoch if it changed. *)
 let begin_request (eng : t) : unit =
-  match Domain.DLS.get serve_key with
-  | None -> ()
-  | Some ctx ->
-    let ep = Atomic.get eng.published in
-    if ep.ep_seq <> ctx.sx_epoch.ep_seq then begin
-      if Obs.Span.on () then Obs.Span.count Obs.Span.Adopt;
-      (* adopting an epoch delta (same generation) keeps the mono table:
-         its cached entries are still current-generation translations
-         whose guards are re-validated on every hit, and lookups bound
-         themselves by the table's own dimensions.  Only a generation
-         change (retranslate-all) invalidates the cached entries. *)
-      let keep_mono = ep.ep_gen = ctx.sx_epoch.ep_gen in
-      ctx.sx_epoch <- ep;
-      if not keep_mono then ctx.sx_mono <- fresh_mono ep;
-      apply_epoch_itlb ctx
-    end
+  let ctx = ctx_of eng in
+  if catch_up eng ctx && Obs.Span.on () then Obs.Span.count Obs.Span.Adopt
 
-(** Leave serving mode; returns the worker's machine so the scheduler can
-    fold its counters into the engine's with [merge_machine]. *)
+(** Leave serving mode: the domain falls back to the main context.
+    Returns the worker's machine so the scheduler can fold its counters
+    into the engine's with [merge_machine]. *)
 let exit_serving () : Exec.machine option =
   match Domain.DLS.get serve_key with
   | None -> None

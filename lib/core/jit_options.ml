@@ -86,13 +86,9 @@ type t = {
      precedence rules as [jit_workers]).  Per-request outputs and the
      aggregate output hash are identical for any value. *)
   mutable request_workers : int;
-  (* lazy in-burst translation (§4): serving workers that miss in their
-     frozen epoch enqueue a translation request; a write-lease holder
-     compiles it and publishes an incremental epoch delta, so the
-     translation cache keeps growing during a multi-domain burst instead
-     of falling back to the interpreter until the next retranslate-all.
-     Outputs stay bit-identical for any worker count ([LAZY_TRANSLATE=0]
-     turns it off, restoring the PR 4 frozen-miss-interprets behavior). *)
+  (* ignored: every dispatch miss translates lazily through the write
+     lease.  Kept so existing configuration code that sets it still
+     compiles. *)
   mutable lazy_translate : bool;
   (* code-cache lifecycle ([--tc-evict-threshold N] / [TC_EVICT_THRESHOLD],
      [--tc-compact] / [TC_COMPACT=1]): a lifecycle tick decays every
@@ -218,7 +214,6 @@ let resolve (t : t) : unit =
       | None -> ())
    | _ -> ());
   if t.request_workers <= 0 then t.request_workers <- 1;
-  if env_off "LAZY_TRANSLATE" then t.lazy_translate <- false;
   (match Sys.getenv_opt "TC_EVICT_THRESHOLD" with
    | Some s when t.tc_evict_threshold = 0 ->
      (match int_of_string_opt (String.trim s) with
@@ -229,9 +224,6 @@ let resolve (t : t) : unit =
    | Some ("1" | "true" | "on") -> t.tc_compact <- true
    | _ -> ())
   end
-
-(** Deprecated alias for {!resolve} (the historical name). *)
-let resolve_env = resolve
 
 (** Disable every profile-guided optimization except region formation and
     partial inlining — the paper's "All PGO" experiment (§6.3). *)

@@ -49,7 +49,8 @@ type image = {
 }
 
 let magic = "HHVMJUMP"
-let format_version = 1
+(* 2: the profile export's record carries the (empty) arc-table fields *)
+let format_version = 2
 
 (** The codegen-relevant option fingerprint folded into the unit digest:
     two processes produce the same optimized image iff these agree.

@@ -4,13 +4,14 @@
     HHVM request threads that miss in the translation cache acquire a
     global {e write lease} before translating: one thread compiles while
     the others keep executing, so the shared code cache has one writer
-    and many readers.  This module is the concurrent-OCaml analogue for
-    parallel request serving: a serve worker that misses in its frozen
-    epoch enqueues a translation request (srckey + the live types the
-    region selector would have observed) into a bounded atomic queue;
-    whoever holds the lease — the dedicated drainer domain or the first
-    worker to win the compare-and-swap — drains it in queue-sequence
-    order and compiles against the engine state the lease protects.
+    and many readers.  This module is the concurrent-OCaml analogue: a
+    domain that misses in its pinned epoch enqueues a translation request
+    (srckey + the live types the region selector would have observed)
+    into a bounded atomic queue; whoever holds the lease — the missing
+    domain itself, another one that won the compare-and-swap, or a
+    serving burst's dedicated drainer domain — drains it in
+    queue-sequence order and compiles against the engine state the lease
+    protects.
 
     Determinism: slot indices are claimed with one [fetch_and_add], so
     every request has a unique queue sequence number; the lease holder
@@ -22,9 +23,12 @@
     hash is identical whether a request enters compiled code or
     interprets.)
 
-    The queue is bounded: a burst can request at most [capacity] distinct
-    compilations, which also bounds how much code lazy translation can
-    add against the code-size cap.  Claims past the bound are counted as
+    The queue is bounded.  Outside a serving burst a drain that empties
+    the ring rewinds it, so a domain that misses, drains and misses again
+    never runs out of slots.  A burst ({!begin_burst}) turns rewinding
+    off: it can request at most [capacity] distinct compilations, which
+    also bounds how much code lazy translation can add against the
+    code-size cap mid-burst.  Claims past the bound are counted as
     overflow and the requester simply interprets. *)
 
 type request = {
@@ -33,7 +37,7 @@ type request = {
   rq_pc : int;
   (** Most-precise types of the requester's locals and evaluation stack
       (stack indexed by depth: element [d] types [sp - 1 - d]), standing
-      in for the live frame the main domain's region oracle reads. *)
+      in for the live frame the region selector's oracle would read. *)
   rq_locals : Hhbc.Rtype.t array;
   rq_stack : Hhbc.Rtype.t array;
   (** The (translation, exit id) the requester chained out of, if any:
@@ -51,7 +55,7 @@ let default_capacity = 256
 
 (* Slot-per-request ring: [tail] claims an index, the claimant publishes
    the request into its slot, and the lease holder consumes slots
-   [drained, min tail capacity).  Slots are written once per burst. *)
+   [drained, min tail capacity).  Slots are written once per rewind. *)
 let slots : request option Atomic.t array ref =
   ref (Array.init default_capacity (fun _ -> Atomic.make None))
 
@@ -60,18 +64,29 @@ let drained = Atomic.make 0
 
 let capacity () = Array.length !slots
 
-(** Reset the queue for a new burst.  Quiescent points only (engine
-    install / burst start, before any worker domain runs).  The ring
-    size is preserved unless [capacity] is given: engine install passes
+(* Does a drain that empties the ring rewind it?  Off during a burst. *)
+let rewinding = ref true
+
+(** Empty the queue, with rewinding on.  Quiescent points only (engine
+    install, burst end — no other domain running).  The ring size is
+    preserved unless [capacity] is given: engine install passes
     [default_capacity]; tests shrink the ring to force overflow, and the
-    burst-start reset keeps their choice. *)
+    burst resets keep their choice. *)
 let reset ?capacity () =
   let cap =
     match capacity with Some c -> c | None -> Array.length !slots
   in
   slots := Array.init cap (fun _ -> Atomic.make None);
   Atomic.set tail 0;
-  Atomic.set drained 0
+  Atomic.set drained 0;
+  rewinding := true
+
+(** Empty the queue for a serving burst and stop rewinding until the
+    next {!reset}.  Quiescent points only (before any worker domain
+    runs). *)
+let begin_burst () =
+  reset ();
+  rewinding := false
 
 let has_pending () =
   Atomic.get drained < min (Atomic.get tail) (capacity ())
@@ -113,9 +128,10 @@ let same_types (a : Hhbc.Rtype.t array) (b : Hhbc.Rtype.t array) : bool =
       Array.iteri (fun i t -> if not (Hhbc.Rtype.equal t b.(i)) then ok := false) a;
       !ok)
 
-(* Already queued this burst?  Advisory — two racing enqueuers can both
-   miss a duplicate in flight; the lease holder re-checks the translation
-   chain before compiling, which is the authoritative dedup. *)
+(* Already queued since the last rewind?  Advisory — two racing
+   enqueuers can both miss a duplicate in flight; the lease holder
+   re-checks the translation chain before compiling, which is the
+   authoritative dedup. *)
 let queued ~(fid : int) ~(pc : int) ~(locals : Hhbc.Rtype.t array)
     ~(stack : Hhbc.Rtype.t array) : bool =
   let n = min (Atomic.get tail) (capacity ()) in
@@ -134,7 +150,7 @@ let queued ~(fid : int) ~(pc : int) ~(locals : Hhbc.Rtype.t array)
   !found
 
 (** Enqueue a translation request.  Returns [false] on overflow (the ring
-    is full for this burst: interpret and move on); duplicate in-flight
+    is full: interpret and move on); duplicate in-flight
     requests for the same srckey and types are dropped. *)
 let enqueue ~(fid : int) ~(pc : int) ~(locals : Hhbc.Rtype.t array)
     ~(stack : Hhbc.Rtype.t array)
@@ -156,9 +172,22 @@ let enqueue ~(fid : int) ~(pc : int) ~(locals : Hhbc.Rtype.t array)
     end
   end
 
-(** Consume every published request in queue-sequence order.  Lease
-    holder only.  Returns the number of requests consumed; requests
-    claimed after the drain snapshot are left for the next holder. *)
+(* Rewind a fully drained ring to slot 0: clear the used slots, then
+   move [tail] back with one CAS.  A claim racing the rewind makes the
+   CAS fail, and the ring stays as it is until the next drain.  Lease
+   holder only (it alone moves [drained]). *)
+let rewind () =
+  let t = Atomic.get tail in
+  let used = min t (capacity ()) in
+  if !rewinding && used > 0 && Atomic.get drained >= used then begin
+    for i = 0 to used - 1 do Atomic.set !slots.(i) None done;
+    if Atomic.compare_and_set tail t 0 then Atomic.set drained 0
+  end
+
+(** Consume every published request in queue-sequence order, then rewind
+    the ring if that emptied it outside a burst.  Lease holder only.
+    Returns the number of requests consumed; requests claimed after the
+    drain snapshot are left for the next holder. *)
 let drain (f : request -> unit) : int =
   let consumed = ref 0 in
   let t = min (Atomic.get tail) (capacity ()) in
@@ -175,4 +204,5 @@ let drain (f : request -> unit) : int =
          is mid-store, wait it out *)
       Domain.cpu_relax ()
   done;
+  rewind ();
   !consumed

@@ -13,17 +13,12 @@ let blocks_by_func : (int, Rdesc.block list ref) Hashtbl.t = Hashtbl.create 64
 (* all registered blocks by id *)
 let blocks_by_id : (int, Rdesc.block) Hashtbl.t = Hashtbl.create 256
 
-(* observed control transfers between profiling blocks.  Arcs are recorded
-   on every profiling-translation entry, so the key is a single packed int
-   (src in the high bits) — hashing an immediate int, not a tuple — and the
-   last arc is memoized: a loop hammering the same transfer bumps its
-   counter without touching the hashtable at all. *)
+(* observed control transfers between profiling blocks, weighted, in
+   [Vm.Prof]: the arc table shards per domain with the rest of the
+   profile.  The key is a single packed int (src in the high bits) —
+   hashing an immediate int, not a tuple. *)
 let arc_key ~(src : int) ~(dst : int) : int = (src lsl 31) lor dst
 let arc_unkey (k : int) : int * int = (k lsr 31, k land 0x7FFF_FFFF)
-
-let arcs : (int, int ref) Hashtbl.t = Hashtbl.create 256
-
-let last_arc : (int * int ref) option ref = ref None
 
 let c_arc_events = Obs.Vmstats.counter "region.arc_events"
 let c_blocks_registered = Obs.Vmstats.counter "region.blocks_registered"
@@ -37,8 +32,7 @@ let version () = !version_
 let reset () =
   Hashtbl.reset blocks_by_func;
   Hashtbl.reset blocks_by_id;
-  Hashtbl.reset arcs;
-  last_arc := None;
+  Vm.Prof.clear_arcs Vm.Prof.main_ctx;
   incr version_
 
 let register_block (b : Rdesc.block) =
@@ -55,22 +49,10 @@ let register_block (b : Rdesc.block) =
   in
   lst := b :: !lst
 
+(** Record one control transfer into the calling domain's profile. *)
 let record_arc ~(src : int) ~(dst : int) =
   Obs.Vmstats.bump c_arc_events;
-  let key = arc_key ~src ~dst in
-  match !last_arc with
-  | Some (k, r) when k = key -> incr r
-  | _ ->
-    let r =
-      match Hashtbl.find_opt arcs key with
-      | Some r -> r
-      | None ->
-        let r = ref 0 in
-        Hashtbl.replace arcs key r;
-        r
-    in
-    incr r;
-    last_arc := Some (key, r)
+  Vm.Prof.record_arc (arc_key ~src ~dst)
 
 (** Drop one function's profiling blocks (and every arc touching them)
     from the registry.  Called when the TC lifecycle evicts all of a cold
@@ -89,19 +71,9 @@ let prune_func (fid : int) : unit =
          Hashtbl.remove blocks_by_id b.b_id)
       !lst;
     Hashtbl.remove blocks_by_func fid;
-    let dead =
-      Hashtbl.fold
-        (fun k _ acc ->
-           let s, d = arc_unkey k in
-           if Hashtbl.mem ids s || Hashtbl.mem ids d then k :: acc else acc)
-        arcs []
-    in
-    List.iter (Hashtbl.remove arcs) dead;
-    (match !last_arc with
-     | Some (k, _) ->
-       let s, d = arc_unkey k in
-       if Hashtbl.mem ids s || Hashtbl.mem ids d then last_arc := None
-     | None -> ());
+    Vm.Prof.filter_arcs (fun k ->
+        let s, d = arc_unkey k in
+        not (Hashtbl.mem ids s || Hashtbl.mem ids d));
     incr version_
 
 (* --- serialization (jumpstart, paper §6.2) --- *)
@@ -124,7 +96,7 @@ let export () : export =
     |> Array.of_list
   in
   let ex_arcs =
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) arcs []
+    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) Vm.Prof.main_ctx.px_arcs []
     |> List.sort compare
     |> Array.of_list
   in
@@ -149,7 +121,8 @@ let import (e : export) : unit =
        in
        lst := b :: !lst)
     e.ex_blocks;
-  Array.iter (fun (k, w) -> Hashtbl.replace arcs k (ref w)) e.ex_arcs;
+  Array.iter (fun (k, w) -> Hashtbl.replace Vm.Prof.main_ctx.px_arcs k (ref w))
+    e.ex_arcs;
   incr version_
 
 let block (id : int) : Rdesc.block = Hashtbl.find blocks_by_id id
@@ -178,7 +151,7 @@ let build (func_id : int) : t =
          let s, d = arc_unkey k in
          if Hashtbl.mem ids s && Hashtbl.mem ids d then ((s, d), !w) :: acc
          else acc)
-      arcs []
+      Vm.Prof.main_ctx.px_arcs []
   in
   { nodes; t_arcs }
 

@@ -7,26 +7,26 @@
 
     - the engine's dispatch state is split into an immutable published
       {e epoch} (frozen srckey tables, chains and links, swapped with one
-      atomic store) and per-domain mutable state (monomorphic caches,
-      method-site caches, interpreter scratch) — see [Core.Engine]'s
-      serving API;
+      atomic store) and per-domain dispatch contexts (pinned epoch,
+      machine, monomorphic caches) — see [Core.Engine]'s serving API;
     - each worker pins an epoch per request ([Engine.begin_request]) so a
       concurrent retranslate-all is adopted only at request boundaries:
       in-flight requests finish on the epoch they started with, never on
       a half-published table;
-    - profile counters are sharded per domain ([Vm.Prof.install_local])
-      and folded into the canonical profile at the retranslate-all
-      trigger, and vmstats / heap / ledger / machine counters are merged
-      at the join, so process-wide totals are exact for any schedule.
+    - profile counters and TransCFG arcs are sharded per domain
+      ([Vm.Prof.install_local]) and folded into the canonical profile at
+      the retranslate-all trigger and at the join, and vmstats / heap /
+      ledger / machine counters are merged at the join, so process-wide
+      totals are exact for any schedule.
 
     Determinism: endpoints are pure functions of their integer argument,
     requests are claimed from an atomic cursor into {e slot-per-request}
     output and cycle arrays, and the aggregate hash folds outputs in
     request-index order — so per-request outputs and the output hash are
     bit-identical for any worker count and any schedule.  [workers = 1]
-    serves inline on the calling domain through the historical fully
-    mutable dispatch path (lazy compile, link smashing), which the
-    parity tests pin the parallel path against.
+    serves inline on the calling domain, through the same dispatch path
+    as every worker, which the parity tests pin the parallel runs
+    against.
 
     Request-level observability rides the same boundaries: when spans
     are on ([--spans]), every request records an [Obs.Span] timeline
@@ -208,8 +208,8 @@ let run ?workers ?trigger (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
   let t0 = Unix.gettimeofday () in
   let spans =
     if workers <= 1 then begin
-      (* inline on the calling domain: the historical mutable dispatch path
-         (lazy compile, link smashing, shared profile) — no freezing *)
+      (* inline on the calling domain, through its own dispatch context
+         and the canonical profile *)
       for i = 0 to n - 1 do
         serve_request u eng ~outputs ~cycles ~post requests i
       done;
@@ -217,14 +217,12 @@ let run ?workers ?trigger (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
       Obs.Span.merge [ Obs.Span.take () ]
     end
     else begin
-      (* Frozen fan-out.  Publish the current tables as an epoch, freeze
-         string interning (workers may intern novel constants), and shard
-         every per-domain counter family for the duration of the burst.
-         The translation-request queue restarts empty: lazy in-burst
-         translation is scoped per burst (this is the quiescent point the
-         queue's reset contract requires). *)
-      Core.Engine.publish_epoch eng;
-      Core.Translate_queue.reset ();
+      (* Fan-out.  Freeze string interning (workers may intern novel
+         constants) and shard every per-domain counter family for the
+         duration of the burst.  The translation-request queue restarts
+         empty: lazy in-burst translation is scoped per burst (this is the
+         quiescent point the queue's burst contract requires). *)
+      Core.Translate_queue.begin_burst ();
       Hhbc.Hunit.freeze_interning true;
       Obs.Vmstats.shards_begin ();
       let next = Atomic.make 0 in
@@ -255,51 +253,46 @@ let run ?workers ?trigger (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
           wr_spans = Obs.Span.take ();
           wr_prof = Obs.Profiler.take () }
       in
-      (* Dedicated drainer domain (a dedicated jit worker domain or the
-         first serve worker to win a CAS write lease — both run; the
-         lease arbitrates).  Spawned for every parallel lazy-translation
-         burst: it used to require [jit_workers >= 2] on the theory that
-         serve workers' opportunistic drains keep up on fewer cores, but
-         at exactly two request workers the lease loser has no sibling
-         left to drain for it and fell back to the interpreter by the
-         hundreds (the jw1_rw2 fallback anomaly) — the drainer is what
-         guarantees a loser's request is compiled regardless of how many
-         siblings are serving.  Compile cycles it charges land on its own
-         ledger account — background compilation, off every request's
-         measured cost, like HHVM's JIT worker threads. *)
+      (* Dedicated drainer domain, competing for the write lease with the
+         serve workers' opportunistic CAS (the lease arbitrates).  It is
+         what guarantees a lease loser's request is compiled however many
+         siblings are serving: at exactly two request workers the loser
+         has no sibling left to drain for it.  It has no dispatch context
+         of its own, so the epochs it publishes are adopted by the main
+         context, which nobody dispatches through until the join.  Compile
+         cycles it charges land on its own ledger account — background
+         compilation, off every request's measured cost, like HHVM's JIT
+         worker threads. *)
       let stop_drainer = Atomic.make false in
       let drainer =
-        if eng.Core.Engine.opts.Core.Jit_options.lazy_translate then
-          Some
-            (Domain.spawn (fun () ->
-                 let shard = Obs.Vmstats.shard_create () in
-                 Obs.Vmstats.shard_install (Some shard);
-                 (* the drainer serves no requests: its compile cycles are
-                    attributed under a "background" root, not a span *)
-                 if Obs.Profiler.on () then
-                   Obs.Profiler.begin_request ~root:"background";
-                 Core.Jit_worker.drain_loop ~stop:stop_drainer
-                   ~drain:(fun () -> Core.Engine.drain_translation_queue eng);
-                 Obs.Vmstats.shard_install None;
-                 { wr_shard = shard;
-                   wr_machine = None;
-                   wr_heap = Runtime.Heap.stats ();
-                   wr_ledger = Runtime.Ledger.acct ();
-                   wr_instrs = Vm.Interp.instr_count ();
-                   wr_spans = [];
-                   wr_prof = Obs.Profiler.take () }))
-        else None
+        Domain.spawn (fun () ->
+            let shard = Obs.Vmstats.shard_create () in
+            Obs.Vmstats.shard_install (Some shard);
+            (* the drainer serves no requests: its compile cycles are
+               attributed under a "background" root, not a span *)
+            if Obs.Profiler.on () then
+              Obs.Profiler.begin_request ~root:"background";
+            Core.Jit_worker.drain_loop ~stop:stop_drainer
+              ~drain:(fun () -> Core.Engine.drain_translation_queue eng);
+            Obs.Vmstats.shard_install None;
+            { wr_shard = shard;
+              wr_machine = None;
+              wr_heap = Runtime.Heap.stats ();
+              wr_ledger = Runtime.Ledger.acct ();
+              wr_instrs = Vm.Interp.instr_count ();
+              wr_spans = [];
+              wr_prof = Obs.Profiler.take () })
       in
       let reports =
         Array.map Domain.join
           (Array.init workers (fun _ -> Domain.spawn worker))
       in
       Atomic.set stop_drainer true;
-      let reports =
-        match drainer with
-        | Some d -> Array.append reports [| Domain.join d |]
-        | None -> reports
-      in
+      let reports = Array.append reports [| Domain.join drainer |] in
+      (* requests still queued when the last worker finished die with the
+         burst; the calling domain adopts whatever the burst published *)
+      Core.Translate_queue.reset ();
+      Core.Engine.begin_request eng;
       Obs.Vmstats.shards_end ();
       Hhbc.Hunit.freeze_interning false;
       (* Serial merge: fold every worker's counters into the main domain's
@@ -313,8 +306,8 @@ let run ?workers ?trigger (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
            Vm.Interp.add_instr_count r.wr_instrs;
            Obs.Profiler.absorb r.wr_prof)
         reports;
-      (* profile increments flushed by workers but not yet folded into the
-         canonical profile (no retranslate fired) are merged now *)
+      (* profile increments and arcs flushed by workers but not yet folded
+         into the canonical profile (no retranslate fired) are merged now *)
       Vm.Prof.merge_pending ();
       Obs.Span.merge
         (Array.to_list (Array.map (fun r -> r.wr_spans) reports))
@@ -341,10 +334,9 @@ type measured = {
 }
 
 (** The deterministic measured burst behind [--serving-report]: serve
-    the mix in request-slot order on the calling domain through the
-    {e frozen} serving path (published epoch, per-request adoption,
-    lazy-translation queue, fresh machine), with spans and the profiler
-    forced on.
+    the mix in request-slot order on the calling domain through a serving
+    context of its own (published epoch, per-request adoption, fresh
+    machine), with spans and the profiler forced on.
 
     Why this is byte-identical for any (jit x request) worker
     configuration: parallel-burst per-request cycles are inherently
@@ -370,8 +362,7 @@ let measure ?trigger (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
   Obs.Span.reset_local ();
   Obs.Profiler.reset ();
   Obs.Vmstats.reset_histogram h_request_cycles;
-  Core.Engine.publish_epoch eng;
-  Core.Translate_queue.reset ();
+  Core.Translate_queue.begin_burst ();
   Core.Engine.enter_serving eng;
   let completed = ref 0 in
   let fired = ref false in
@@ -392,6 +383,8 @@ let measure ?trigger (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
   (match Core.Engine.exit_serving () with
    | Some m -> Core.Engine.merge_machine eng m
    | None -> ());
+  Core.Translate_queue.reset ();
+  Core.Engine.begin_request eng;
   let spans = Obs.Span.merge [ Obs.Span.take () ] in
   Obs.Profiler.absorb (Obs.Profiler.take ());
   let profile = Obs.Profiler.folded_entries () in

@@ -106,10 +106,11 @@ let simulate ?(opts : Core.Jit_options.t option)
          uses a pool of four background threads), but delay publication by
          the simulated background-compile duration *)
       let ledger_before = Runtime.Ledger.read () in
-      let pause_before = Obs.Vmstats.timer_seconds "retranslate.pause_ms" in
+      let pause_before = Obs.Vmstats.timer_seconds "retranslate.pause" in
       ignore (Core.Engine.retranslate_all eng);
       pause_ms :=
-        Obs.Vmstats.timer_seconds "retranslate.pause_ms" -. pause_before;
+        (Obs.Vmstats.timer_seconds "retranslate.pause" -. pause_before)
+        *. 1000.;
       (* compilation happened off-thread: restore the serving ledger *)
       Runtime.Ledger.set_cycles ledger_before;
       let opt_bytes = eng.Core.Engine.opt_bytes in

@@ -8,6 +8,9 @@
     - Targeted profiles (item 4): method-call receiver classes per call
       site, used by the method-dispatch optimization (§5.3.3), and function
       call counts used by function sorting (§5.1.1).
+    - TransCFG arc weights (§5.2.1): control transfers between profiling
+      blocks, keyed by packed block-id pairs; [Region.Transcfg] owns the
+      block registry and reads the canonical arcs ([main_ctx.px_arcs]).
 
     {b Sharding for parallel request serving.}  The canonical profile lives
     in one main context; every consumer of the profile (region formation,
@@ -21,7 +24,9 @@
     boundaries ({!flush_local}); the retranslate-all trigger folds the
     accumulator into the canonical profile ({!merge_pending}) before it
     scans the profile — counter merges commute, so totals are exact for
-    any worker count or schedule. *)
+    any worker count or schedule, and new arcs fold in ascending key
+    order, so the canonical arc table's layout never depends on which
+    shard flushed first. *)
 
 type counter_id = int
 
@@ -47,6 +52,13 @@ type ctx = {
   (* per-function entry counts (hotness): bumped on *every* PHP-level
      call, so a dense array rather than a hashtable *)
   mutable px_func_entries : int array;
+  (* TransCFG arc weights, recorded on every profiling-translation entry,
+     so the key is a single packed int and the last arc is memoized: a
+     loop hammering the same transfer bumps its counter without touching
+     the hashtable at all *)
+  px_arcs : (int, int ref) Hashtbl.t;
+  mutable px_last_arc : int;          (* memoized key; -1 = none *)
+  mutable px_last_weight : int ref;
 }
 
 let fresh_ctx () : ctx =
@@ -54,15 +66,16 @@ let fresh_ctx () : ctx =
     px_method_targets = Hashtbl.create 64;
     px_method_names = Hashtbl.create 64;
     px_call_edges = Hashtbl.create 256;
-    px_func_entries = Array.make 256 0 }
+    px_func_entries = Array.make 256 0;
+    px_arcs = Hashtbl.create 256;
+    px_last_arc = -1;
+    px_last_weight = ref 0 }
 
 (** The canonical profile: all reads, and main-domain writes. *)
 let main_ctx : ctx = fresh_ctx ()
 
 (* The domain's write target; main context unless a worker installed a
-   private one.  Counter ids are allocated from the main domain only
-   (profiling compiles never run on serving workers), so worker contexts
-   just mirror the id space. *)
+   private one.  Worker contexts just mirror the counter-id space. *)
 let write_key : ctx Domain.DLS.key = Domain.DLS.new_key (fun () -> main_ctx)
 
 let wctx () : ctx = Domain.DLS.get write_key
@@ -182,6 +195,38 @@ let func_entry_count (fid : int) =
   let a = main_ctx.px_func_entries in
   if fid < Array.length a then a.(fid) else 0
 
+(* --- TransCFG arcs --- *)
+
+let record_arc (key : int) =
+  let c = wctx () in
+  if c.px_last_arc = key then incr c.px_last_weight
+  else begin
+    let r =
+      match Hashtbl.find_opt c.px_arcs key with
+      | Some r -> r
+      | None ->
+        let r = ref 0 in
+        Hashtbl.replace c.px_arcs key r;
+        r
+    in
+    incr r;
+    c.px_last_arc <- key;
+    c.px_last_weight <- r
+  end
+
+let clear_arcs (c : ctx) =
+  Hashtbl.reset c.px_arcs;
+  c.px_last_arc <- -1
+
+(** Drop the canonical arcs whose key fails [keep]. *)
+let filter_arcs (keep : int -> bool) : unit =
+  let dead =
+    Hashtbl.fold (fun k _ acc -> if keep k then acc else k :: acc)
+      main_ctx.px_arcs []
+  in
+  List.iter (Hashtbl.remove main_ctx.px_arcs) dead;
+  main_ctx.px_last_arc <- -1
+
 (* --- shard accumulation and merge --- *)
 
 let clear_ctx (c : ctx) =
@@ -189,7 +234,8 @@ let clear_ctx (c : ctx) =
   Hashtbl.reset c.px_method_targets;
   Hashtbl.reset c.px_method_names;
   Hashtbl.reset c.px_call_edges;
-  Array.fill c.px_func_entries 0 (Array.length c.px_func_entries) 0
+  Array.fill c.px_func_entries 0 (Array.length c.px_func_entries) 0;
+  clear_arcs c
 
 (* Additive merge of [src] into [dst].  [bump_version] marks structural
    novelty against the canonical profile (merge_pending); accumulating a
@@ -247,7 +293,13 @@ let merge_into (dst : ctx) ~(bump_version : bool) (src : ctx) =
          end;
          dst.px_func_entries.(fid) <- dst.px_func_entries.(fid) + n
        end)
-    src.px_func_entries
+    src.px_func_entries;
+  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) src.px_arcs []
+  |> List.sort compare
+  |> List.iter (fun (k, w) ->
+      match Hashtbl.find_opt dst.px_arcs k with
+      | Some r -> r := !r + w
+      | None -> Hashtbl.replace dst.px_arcs k (ref w))
 
 (* Profile deltas flushed by workers, awaiting the retranslate trigger. *)
 let pending : ctx = fresh_ctx ()
@@ -257,8 +309,9 @@ let locked (f : unit -> 'a) : 'a =
   Mutex.lock pending_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock pending_mutex) f
 
-(** Drain this domain's private profile into the pending accumulator
-    (request boundary on a serving worker; no-op on the main domain). *)
+(** Drain this domain's private profile and arcs into the pending
+    accumulator (request boundary on a serving worker; no-op on the main
+    domain). *)
 let flush_local () =
   let c = wctx () in
   if c != main_ctx then begin
@@ -276,8 +329,9 @@ let merge_pending () =
 
 (* --- serialization (jumpstart, paper §6.2) --- *)
 
-(** A self-contained copy of the canonical profile.  The [ctx] record is
-    plain data (arrays, hashtables, ints — no closures), so an export is
+(** A self-contained copy of the canonical profile, without the arcs
+    ([Region.Transcfg.export] carries those).  The [ctx] record is plain
+    data (arrays, hashtables, ints — no closures), so an export is
     Marshal-safe; it is a deep copy, so later profiling in this process
     cannot leak into a saved image. *)
 type export = {
@@ -288,6 +342,7 @@ type export = {
 let export () : export =
   let c = fresh_ctx () in
   merge_into c ~bump_version:false main_ctx;
+  clear_arcs c;
   { ex_ctx = c; ex_n_counters = Atomic.get n_counters }
 
 (** Replace the canonical profile with a deserialized export (fresh-

@@ -13,10 +13,8 @@
 #      combined JIT_WORKERS=4 REQUEST_WORKERS=4 `bench/main.exe serving`
 #      sweep exits nonzero when per-request outputs diverge across any
 #      (jit x request) worker configuration,
-#   5. lazy-translation smoke: LAZY_TRANSLATE=1 forces the write-leased
-#      in-burst translation path through the same 4x4 sweep (nonzero on
-#      hash divergence), and the bench JSON's `serving` section must
-#      carry the per-burst miss/fallback counters,
+#   5. the bench JSON's `serving` section must carry the per-burst
+#      miss/fallback counters of the write-leased lazy translation path,
 #   6. jumpstart smoke: `hhvm_run warmup --dump` writes an image in one
 #      process, `hhvm_run serve --jumpstart` adopts it in a fresh one,
 #      and the jumpstarted run must serve with ZERO profiling
@@ -37,7 +35,11 @@
 #      that the startup section shows the jumpstarted process reaching
 #      steady state strictly earlier than the cold one with a matching
 #      output hash, and that the tc_lifecycle section shows eviction
-#      fired, zero holes after compaction, and cross-config parity.
+#      fired, zero holes after compaction, and cross-config parity,
+#   9. repo benchmark smoke: each perfbench workload for one second at
+#      seed 1, which applies its per-request output check against the
+#      other engine, the seed-1 output digests and the cross-round
+#      determinism gate to the single-domain dispatch path.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,10 +68,6 @@ REQUEST_WORKERS=4 dune exec bin/hhvm_run.exe -- --perflab
 
 echo "== combined compile x serving sweep (4x4) =="
 JIT_WORKERS=4 REQUEST_WORKERS=4 dune exec bench/main.exe -- serving
-
-echo "== lazy in-burst translation smoke (4x4, lease + epoch deltas) =="
-LAZY_TRANSLATE=1 JIT_WORKERS=4 REQUEST_WORKERS=4 \
-  dune exec bench/main.exe -- serving
 
 echo "== bench JSON serving counters =="
 dune exec bench/main.exe -- json
@@ -140,5 +138,11 @@ fi
 
 echo "== serving report + startup + tc_lifecycle validation =="
 ./scripts/check_bench_json.sh
+
+echo "== repo benchmark smoke (perfbench, seed 1, 1 s per workload) =="
+for w in steady_region interp_only cold_start mix_shift; do
+  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 \
+    | tail -n 1
+done
 
 echo "CI OK"

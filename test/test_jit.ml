@@ -315,7 +315,8 @@ let engine_tests = [
       in
       let out1 = call () in
       let _ = call () in
-      (* collect every translation reachable from the dispatch tables *)
+      (* collect every translation reachable from the dispatch tables and
+         the main dispatch context's monomorphic cache *)
       let collect () =
         let ids = ref [] and monos = ref 0 in
         Array.iter
@@ -323,17 +324,19 @@ let engine_tests = [
              Array.iter
                (function
                  | Some (sl : Core.Engine.slot) ->
-                   (match sl.sl_mono with
-                    | Some ((tr : Core.Translation.t), _) ->
-                      incr monos;
-                      ids := tr.tr_id :: !ids
-                    | None -> ());
                    for i = 0 to sl.sl_len - 1 do
                      ids := sl.sl_chain.(i).Core.Translation.tr_id :: !ids
                    done
                  | None -> ())
                row)
           eng.Core.Engine.trans;
+        Array.iter
+          (Array.iter (function
+               | Some ((tr : Core.Translation.t), _) ->
+                 incr monos;
+                 ids := tr.tr_id :: !ids
+               | None -> ()))
+          eng.Core.Engine.main_ctx.Core.Engine.sx_mono;
         (List.sort_uniq compare !ids, !monos)
       in
       let old_ids, old_monos = collect () in

@@ -251,6 +251,27 @@ let test_retranslate_links () =
       (counter "link.smashed" > smashed_before
        || counter "link.follow" > follows_after_rta)
 
+let test_retranslate_timer_units () =
+  (* the retranslate timers accumulate seconds: one retranslate-all's
+     recorded pause fits inside the wall time measured around the call *)
+  let _, eng = run_mode Core.Jit_options.Region loop_src in
+  let calls0 = Obs.Vmstats.timer_calls "retranslate.pause" in
+  let pause0 = Obs.Vmstats.timer_seconds "retranslate.pause" in
+  let compile0 = Obs.Vmstats.timer_seconds "retranslate.compile" in
+  let t0 = Unix.gettimeofday () in
+  ignore (Core.Engine.retranslate_all eng);
+  let wall = Unix.gettimeofday () -. t0 in
+  let pause = Obs.Vmstats.timer_seconds "retranslate.pause" -. pause0 in
+  let compile = Obs.Vmstats.timer_seconds "retranslate.compile" -. compile0 in
+  Alcotest.(check int) "one pause recorded" 1
+    (Obs.Vmstats.timer_calls "retranslate.pause" - calls0);
+  Alcotest.(check bool)
+    (Printf.sprintf "pause %.6f s within wall %.6f s" pause wall) true
+    (pause >= 0.0 && pause <= wall);
+  Alcotest.(check bool)
+    (Printf.sprintf "compile %.6f s within wall %.6f s" compile wall) true
+    (compile >= 0.0 && compile <= wall)
+
 (* ---- tc-print ---- *)
 
 let test_tc_print () =
@@ -283,4 +304,6 @@ let suite =
       Alcotest.test_case "install resets telemetry" `Quick test_install_resets;
       Alcotest.test_case "retranslate-all link accounting" `Quick
         test_retranslate_links;
+      Alcotest.test_case "retranslate timers record seconds" `Quick
+        test_retranslate_timer_units;
       Alcotest.test_case "tc-print report" `Quick test_tc_print ] )

@@ -216,6 +216,16 @@ let serving_engine ?budget ?(mode = Core.Jit_options.Region) ()
     ignore (Core.Engine.retranslate_all eng);
   (u, eng)
 
+(* Cold Region-mode engine: no warmup, so every endpoint's entry srckey
+   misses on first touch inside the burst itself. *)
+let cold_engine () : Hhbc.Hunit.t * Core.Engine.t =
+  let u = Vm.Loader.load Workloads.Endpoints.source in
+  ignore (Hhbbc.Assert_insert.run u);
+  ignore (Hhbbc.Bc_opt.run u);
+  let opts = Core.Jit_options.default () in
+  opts.Core.Jit_options.mode <- Core.Jit_options.Region;
+  (u, Core.Engine.install ~opts u)
+
 (* One serving burst on a fresh engine.  [trigger_at] fires a full
    retranslate-all on whichever domain completes that many requests. *)
 let serving_run ?budget ?mode ?trigger_at (workers : int)
@@ -287,7 +297,25 @@ let test_serving_prof_exact () =
     (fun w ->
        Alcotest.(check (array int))
          (Printf.sprintf "func-entry counts @ %d workers" w) c1 (counts w))
-    [ 2; 4 ]
+    [ 2; 4 ];
+  (* TransCFG arcs recorded by profiling code on worker domains fold into
+     the registry by burst end.  Which requests run profiling code, and so
+     the exact weights, depend on when lazy compiles land: assert presence,
+     not weights. *)
+  let arcs_run w =
+    let u, eng = cold_engine () in
+    let r =
+      Server.Serving.run ~workers:w u eng (Server.Serving.mix ~rounds:6 ())
+    in
+    (r, (Region.Transcfg.export ()).Region.Transcfg.ex_arcs)
+  in
+  let r1, a1 = arcs_run 1 in
+  let r2, a2 = arcs_run 2 in
+  Alcotest.(check bool) "cold serving recorded arcs @ 1 worker" true
+    (Array.length a1 > 0);
+  Alcotest.(check bool) "cold serving recorded arcs @ 2 workers" true
+    (Array.length a2 > 0);
+  check_serving_equal "cold profiling burst @ 2 workers" r1 r2
 
 let test_serving_heap_clean () =
   (* request-private heap values allocated on worker domains are all freed
@@ -303,16 +331,6 @@ let test_serving_heap_clean () =
     (hs.Runtime.Heap.allocated > live_before)
 
 (* ---- Lazy in-burst translation (write lease + incremental publish) ---- *)
-
-(* Cold Region-mode engine: no warmup, so every endpoint's entry srckey
-   misses on first touch inside the burst itself. *)
-let cold_engine () : Hhbc.Hunit.t * Core.Engine.t =
-  let u = Vm.Loader.load Workloads.Endpoints.source in
-  ignore (Hhbbc.Assert_insert.run u);
-  ignore (Hhbbc.Bc_opt.run u);
-  let opts = Core.Jit_options.default () in
-  opts.Core.Jit_options.mode <- Core.Jit_options.Region;
-  (u, Core.Engine.install ~opts u)
 
 let test_lazy_lease_contention () =
   (* identical requests against a cold engine: several workers miss the
@@ -442,6 +460,45 @@ let test_lifecycle_parity () =
          (Printf.sprintf "evict+compact mid-burst @ %d workers" w) r1 r)
     [ 2; 4 ]
 
+let test_lifecycle_mono_evicted () =
+  (* one serving context warms its mono table, then every optimized
+     translation is evicted (two decay calls — victims must reach age 2).
+     The eviction epoch keeps the generation, so the context keeps its
+     mono table across the adoption: no cached entry may re-enter an
+     evicted translation *)
+  let u, eng = serving_engine () in
+  Core.Engine.enter_serving eng;
+  let requests = Server.Serving.mix ~rounds:2 () in
+  let serve () =
+    Array.iter
+      (fun (rq : Server.Serving.request) ->
+         Core.Engine.begin_request eng;
+         ignore
+           (Server.Perflab.call_endpoint u rq.Server.Serving.rq_ep
+              rq.Server.Serving.rq_arg))
+      requests
+  in
+  serve ();
+  ignore (Core.Engine.evict_cold eng ~threshold:max_int);
+  ignore (Core.Engine.evict_cold eng ~threshold:max_int);
+  let victims =
+    Array.to_list eng.Core.Engine.last_opt
+    |> List.filter_map (fun (_, _, (tr : Core.Translation.t)) ->
+        if tr.Core.Translation.tr_evicted then
+          Some (tr, tr.Core.Translation.tr_execs)
+        else None)
+  in
+  Alcotest.(check bool) "eviction fired" true (victims <> []);
+  serve ();
+  ignore (Core.Engine.exit_serving ());
+  List.iter
+    (fun ((tr : Core.Translation.t), execs) ->
+       Alcotest.(check int)
+         (Printf.sprintf "evicted translation %d not re-entered"
+            tr.Core.Translation.tr_id)
+         execs tr.Core.Translation.tr_execs)
+    victims
+
 let test_lifecycle_evict_mid_chain () =
   (* a mass eviction + compaction fired mid-burst, while parallel workers
      are mid-chain on the frozen epochs: every translation goes (two
@@ -567,5 +624,7 @@ let suite =
         test_codecache_free_compact_accounting;
       Alcotest.test_case "lifecycle: evict+compact parity {1,2,4}" `Quick
         test_lifecycle_parity;
+      Alcotest.test_case "lifecycle: mono cache skips evicted code" `Quick
+        test_lifecycle_mono_evicted;
       Alcotest.test_case "lifecycle: mass eviction mid-chain-follow" `Quick
         test_lifecycle_evict_mid_chain ] )

@@ -225,12 +225,15 @@ let test_lease_trace_seq () =
   let u, eng =
     warmed_engine ~jit_workers:2 ~request_workers:2 ~trace:"lease" ()
   in
-  let l0 = Obs.Vmstats.counter_value "lazy_translate.compiled" in
+  (* warmup misses drain under the lease too: the ring holds every drain
+     since install, and the counter counts every lazy compile since *)
+  let n0 = List.length (Obs.Trace.drain ()) in
   let requests = Server.Serving.mix ~rounds:4 () in
   ignore (Server.Serving.run u eng requests);
   let lines = Obs.Trace.drain () in
   Obs.Trace.configure ~spec:None ();
-  Alcotest.(check bool) "burst produced lease events" true (lines <> []);
+  Alcotest.(check bool) "burst produced lease events" true
+    (List.length lines > n0);
   List.iteri
     (fun i line ->
        Alcotest.(check int)
@@ -250,7 +253,7 @@ let test_lease_trace_seq () =
     List.fold_left (fun a line -> a + field_int line "compiled") 0 lines
   in
   Alcotest.(check int) "lease-drain compiles tie out against the counter"
-    (Obs.Vmstats.counter_value "lazy_translate.compiled" - l0) compiled
+    (Obs.Vmstats.counter_value "lazy_translate.compiled") compiled
 
 (* ---- snapshots: one gauge line every N completed requests ---- *)
 
