@@ -246,9 +246,9 @@ let micro_results () : (string * float) list =
     g ();   (* warm: flatten, caches *)
     let best = ref infinity in
     for _ = 1 to batches do
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.Clock.now () in
       for _ = 1 to iters do g () done;
-      let dt = (Unix.gettimeofday () -. t0) /. float_of_int iters in
+      let dt = (Obs.Clock.now () -. t0) /. float_of_int iters in
       if dt < !best then best := dt
     done;
     !best *. 1e9
@@ -298,9 +298,9 @@ let measure_mode ~(reps : int) (name : string) (mode : Core.Jit_options.mode)
   let best = ref infinity in
   let last = ref None in
   for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.now () in
     let r = Server.Perflab.run mode in
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Obs.Clock.now () -. t0 in
     if dt < !best then best := dt;
     last := Some r
   done;
@@ -359,9 +359,9 @@ let measure_region ~(reps : int) ~(tweak : Core.Jit_options.t -> unit)
   let best = ref infinity in
   let last = ref None in
   for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.now () in
     let r = Server.Perflab.run ~tweak Core.Jit_options.Region in
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Obs.Clock.now () -. t0 in
     if dt < !best then best := dt;
     last := Some r
   done;
@@ -1194,7 +1194,6 @@ let ablate () =
     [ 4; 8 ]
 
 let () =
-  Core.Jit_options.bootstrap ();
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   (match what with
    | "fig8" -> fig8 ()

@@ -12,18 +12,13 @@
         hhvm_run serve --jumpstart warm.img       # skip the warmup cliff
         hhvm_run warmup --dump warm.img           # write a jumpstart image
         hhvm_run report --serving-report out.json # telemetry-focused mix run
-
-    Legacy flat invocations keep working through the implicit default:
-
-        hhvm_run --perflab --request-workers 4
-        hhvm_run --vmstats=json --perflab
+        hhvm_run report --request-workers 4       # plus a parallel burst
+        hhvm_run report --vmstats=json
         hhvm_run --trace link,exit --trace-out t.trace.jsonl prog.mphp
 
     Option resolution is consolidated in [Core.Jit_options]: flags set
-    explicit fields, [resolve] (run once at engine install) folds in
-    environment fallbacks with flag > env > default precedence, and
-    [bootstrap] (called once below) applies the process-global
-    INTERP_THREADED selector. *)
+    explicit fields, and [resolve] (run once at engine install) folds in
+    environment fallbacks with flag > env > default precedence. *)
 
 open Cmdliner
 
@@ -93,15 +88,6 @@ let opts_term : Core.Jit_options.t Term.t =
     Arg.(value & flag
          & info [ "no-method-dispatch" ]
            ~doc:"Disable method-dispatch optimization and inline caches")
-  in
-  let no_interp_threaded =
-    Arg.(value & flag
-         & info [ "no-interp-threaded" ]
-           ~doc:"Use the legacy match-on-variant interpreter loop instead \
-                 of the flattened closure-threaded dispatch (also \
-                 INTERP_THREADED=0; the flag wins).  Outputs are \
-                 bit-identical; this exists for differential testing and \
-                 triage")
   in
   let no_stats =
     Arg.(value & flag
@@ -179,12 +165,11 @@ let opts_term : Core.Jit_options.t Term.t =
                  returning the evicted bytes to the code budget (also \
                  TC_COMPACT=1)")
   in
-  let mk mode no_rce no_inlining no_relax no_dispatch no_interp_threaded
-      no_stats jit_workers request_workers trace trace_out spans
-      snapshot_out snapshot_interval tc_evict_threshold tc_compact =
+  let mk mode no_rce no_inlining no_relax no_dispatch no_stats jit_workers
+      request_workers trace trace_out spans snapshot_out snapshot_interval
+      tc_evict_threshold tc_compact =
     let opts = Core.Jit_options.default () in
     opts.mode <- mode;
-    if no_interp_threaded then opts.interp_threaded <- Some false;
     if jit_workers > 0 then opts.jit_workers <- jit_workers;
     if request_workers > 0 then opts.request_workers <- request_workers;
     if no_rce then opts.rce <- false;
@@ -206,9 +191,9 @@ let opts_term : Core.Jit_options.t Term.t =
     opts
   in
   Term.(const mk $ mode $ no_rce $ no_inlining $ no_relax $ no_dispatch
-        $ no_interp_threaded $ no_stats $ jit_workers $ request_workers
-        $ trace $ trace_out $ spans $ snapshot_out $ snapshot_interval
-        $ tc_evict_threshold $ tc_compact)
+        $ no_stats $ jit_workers $ request_workers $ trace $ trace_out
+        $ spans $ snapshot_out $ snapshot_interval $ tc_evict_threshold
+        $ tc_compact)
 
 type telemetry = {
   te_vmstats : string option;
@@ -261,182 +246,92 @@ let report_telemetry (engine : Core.Engine.t) (te : telemetry) : unit =
   Obs.Snapshot.close ()
 
 (* ------------------------------------------------------------------ *)
-(* run (default): execute a source file, or the legacy --perflab mix   *)
+(* run (default): execute a source file                                *)
 (* ------------------------------------------------------------------ *)
 
-let perflab_run (opts : Core.Jit_options.t) (te : telemetry)
-    (serving_report : string option) (profile_folded : string option) =
-  (* replay the Perflab endpoint mix instead of a source file: the
-     standard workload for inspecting steady-state JIT telemetry *)
-  let base = Server.Perflab.default_config () in
-  let cfg = { base with Server.Perflab.c_opts = opts } in
-  let r = Server.Perflab.measure cfg in
-  Printf.printf "perflab[%s]: %.1f +- %.1f cycles/request, %d code bytes\n"
-    (mode_name opts.mode)
-    r.Server.Perflab.r_weighted r.Server.Perflab.r_ci99
-    r.Server.Perflab.r_code_bytes;
-  (* with request-serving parallelism requested, follow the perflab run
-     with a multi-domain serving burst over the now-warm engine and
-     report throughput (the engine resolved REQUEST_WORKERS at install) *)
-  let eng = r.Server.Perflab.r_engine in
-  (* the deterministic serving report must run BEFORE any parallel
-     burst: a parallel burst leaves schedule-dependent engine state
-     (which translations were lazily compiled, cache history), and the
-     report's byte-stability contract starts from deterministic state *)
-  if serving_report <> None || profile_folded <> None then begin
-    let u = eng.Core.Engine.hunit in
-    let requests = Server.Serving.mix ~rounds:10 () in
-    let trigger =
-      (Array.length requests / 2,
-       fun () -> ignore (Core.Engine.retranslate_all eng))
-    in
-    let m = Server.Serving.measure ~trigger u eng requests in
-    (match serving_report with
-     | Some path ->
-       let oc = open_out path in
-       output_string oc (Server.Serving.report_json requests m);
-       output_char oc '\n';
-       close_out oc;
-       Printf.printf "serving report: wrote %s (%d requests, %d cycles)\n"
-         path (Array.length requests)
-         m.Server.Serving.me_profile_total
-     | None -> ());
-    (match profile_folded with
-     | Some path ->
-       let oc = open_out path in
-       output_string oc (Obs.Profiler.folded ());
-       close_out oc;
-       Printf.printf
-         "profile: wrote %d folded stacks to %s (%d attributed cycles)\n"
-         (List.length m.Server.Serving.me_profile) path
-         m.Server.Serving.me_profile_total
-     | None -> ())
-  end;
-  let rw = eng.Core.Engine.opts.Core.Jit_options.request_workers in
-  if rw > 1 then begin
-    let u = eng.Core.Engine.hunit in
-    let requests = Server.Serving.mix ~rounds:10 () in
-    let sr = Server.Serving.run u eng requests in
-    Printf.printf
-      "serving[%d workers]: %d requests in %.4f s (%.0f req/s), \
-       output hash %d\n"
-      sr.Server.Serving.sv_workers
-      (Array.length requests) sr.Server.Serving.sv_wall_s
-      (float_of_int (Array.length requests) /. sr.Server.Serving.sv_wall_s)
-      sr.Server.Serving.sv_output_hash;
-    if eng.Core.Engine.opts.Core.Jit_options.spans then begin
-      let spans = sr.Server.Serving.sv_spans in
-      Printf.printf "spans: %d request timelines recorded\n"
-        (Array.length spans);
-      List.iter
-        (fun ph ->
-           let i = Obs.Span.phase_index ph in
-           let cnt =
-             Array.fold_left
-               (fun a sp -> a + sp.Obs.Span.sp_counts.(i)) 0 spans
-           and cyc =
-             Array.fold_left
-               (fun a sp -> a + sp.Obs.Span.sp_cycles.(i)) 0 spans
-           in
-           Printf.printf "  %-17s count %-8d cycles %d\n"
-             (Obs.Span.phase_name ph) cnt cyc)
-        Obs.Span.phases
-    end
-  end;
-  report_telemetry eng te
-
-let run opts te file entry dump_bc dump_regions stats repeat perflab
-    serving_report profile_folded =
+let run opts te file entry dump_bc dump_regions stats repeat =
   if repeat < 1 then usage_error "--repeat must be at least 1 (got %d)" repeat;
-  if dump_bc && perflab then
-    usage_error
-      "--dump-bc and --perflab are mutually inconsistent (no source file \
-       is compiled under --perflab)";
-  if perflab then perflab_run opts te serving_report profile_folded
-  else begin
-    if serving_report <> None || profile_folded <> None then
+  let file =
+    match file with
+    | Some f -> f
+    | None ->
       usage_error
-        "--serving-report/--profile-folded require --perflab (or the \
-         'report' subcommand)";
-    let file =
-      match file with
-      | Some f -> f
-      | None -> usage_error "FILE required unless --perflab is given"
-    in
-    let src = read_file file in
-    let unit_ = Vm.Loader.load src in
-    ignore (Hhbbc.Assert_insert.run unit_);
-    ignore (Hhbbc.Bc_opt.run unit_);
-    if dump_bc then begin
-      print_string (Hhbc.Disasm.unit_to_string unit_);
-      exit 0
-    end;
-    let engine = Core.Engine.install ~opts unit_ in
-    let call () =
-      match Hhbc.Hunit.find_func unit_ entry with
-      | None ->
-        Printf.eprintf "error: function %s not found\n" entry;
-        exit 1
-      | Some _ ->
-        let r, out =
-          Vm.Output.capture (fun () -> Vm.Interp.call_by_name unit_ entry [])
-        in
-        Runtime.Heap.decref r;
-        print_string out
-    in
-    (try
-       for i = 1 to repeat do
-         call ();
-         if opts.mode = Core.Jit_options.Region && i = max 1 (repeat / 2)
-         then ignore (Core.Engine.retranslate_all engine)
-       done
-     with
-     | Vm.Interp.Php_exception v ->
-       Printf.eprintf "\nFatal error: uncaught exception: %s\n"
-         (Runtime.Value.debug_string v);
-       Runtime.Heap.decref v;
-       exit 255
-     | Runtime.Value.Php_fatal msg ->
-       Printf.eprintf "\nFatal error: %s\n" msg;
-       exit 255);
-    if dump_regions then begin
-      print_endline "\n=== profiled regions ===";
-      Hashtbl.iter
-        (fun fid _ ->
-           let f = Hhbc.Hunit.func unit_ fid in
-           List.iter
-             (fun region ->
-                Printf.printf "--- %s ---\n%s" f.fn_name
-                  (Region.Rdesc.to_string ~func:f (Region.Relax.run region)))
-             (Region.Form.form_func_regions fid))
-        Region.Transcfg.blocks_by_func
-    end;
-    if stats then begin
-      Printf.printf "\n--- stats ---\n";
-      Printf.printf "cycles: %d (interp %d, compiled %d)\n"
-        (Runtime.Ledger.read ())
-        (Runtime.Ledger.interp_cycles ()) (Runtime.Ledger.jit_cycles ());
-      Printf.printf "translations: %d live, %d profiling, %d optimized\n"
-        engine.Core.Engine.n_live engine.Core.Engine.n_profiling
-        engine.Core.Engine.n_optimized;
-      Printf.printf "code cache: %d bytes\n" (Core.Engine.code_bytes engine);
-      let hs = Runtime.Heap.stats () in
-      Printf.printf "heap: %d allocated, %d freed, %d live; %d increfs, %d decrefs\n"
-        hs.Runtime.Heap.allocated hs.Runtime.Heap.freed
-        hs.Runtime.Heap.live hs.Runtime.Heap.incref_ops
-        hs.Runtime.Heap.decref_ops;
-      let leaks = Runtime.Heap.live_allocations () in
-      if leaks <> [] then
-        Printf.printf "LEAKS: %s\n" (String.concat ", " leaks)
-    end;
-    report_telemetry engine te
-  end
+        "FILE required (the endpoint mix runs under the 'report' and \
+         'serve' subcommands)"
+  in
+  let src = read_file file in
+  let unit_ = Vm.Loader.load src in
+  ignore (Hhbbc.Assert_insert.run unit_);
+  ignore (Hhbbc.Bc_opt.run unit_);
+  if dump_bc then begin
+    print_string (Hhbc.Disasm.unit_to_string unit_);
+    exit 0
+  end;
+  let engine = Core.Engine.install ~opts unit_ in
+  let call () =
+    match Hhbc.Hunit.find_func unit_ entry with
+    | None ->
+      Printf.eprintf "error: function %s not found\n" entry;
+      exit 1
+    | Some _ ->
+      let r, out =
+        Vm.Output.capture (fun () -> Vm.Interp.call_by_name unit_ entry [])
+      in
+      Runtime.Heap.decref r;
+      print_string out
+  in
+  (try
+     for i = 1 to repeat do
+       call ();
+       if opts.mode = Core.Jit_options.Region && i = max 1 (repeat / 2)
+       then ignore (Core.Engine.retranslate_all engine)
+     done
+   with
+   | Vm.Interp.Php_exception v ->
+     Printf.eprintf "\nFatal error: uncaught exception: %s\n"
+       (Runtime.Value.debug_string v);
+     Runtime.Heap.decref v;
+     exit 255
+   | Runtime.Value.Php_fatal msg ->
+     Printf.eprintf "\nFatal error: %s\n" msg;
+     exit 255);
+  if dump_regions then begin
+    print_endline "\n=== profiled regions ===";
+    Hashtbl.iter
+      (fun fid _ ->
+         let f = Hhbc.Hunit.func unit_ fid in
+         List.iter
+           (fun region ->
+              Printf.printf "--- %s ---\n%s" f.fn_name
+                (Region.Rdesc.to_string ~func:f (Region.Relax.run region)))
+           (Region.Form.form_func_regions fid))
+      Region.Transcfg.blocks_by_func
+  end;
+  if stats then begin
+    Printf.printf "\n--- stats ---\n";
+    Printf.printf "cycles: %d (interp %d, compiled %d)\n"
+      (Runtime.Ledger.read ())
+      (Runtime.Ledger.interp_cycles ()) (Runtime.Ledger.jit_cycles ());
+    Printf.printf "translations: %d live, %d profiling, %d optimized\n"
+      engine.Core.Engine.n_live engine.Core.Engine.n_profiling
+      engine.Core.Engine.n_optimized;
+    Printf.printf "code cache: %d bytes\n" (Core.Engine.code_bytes engine);
+    let hs = Runtime.Heap.stats () in
+    Printf.printf "heap: %d allocated, %d freed, %d live; %d increfs, %d decrefs\n"
+      hs.Runtime.Heap.allocated hs.Runtime.Heap.freed
+      hs.Runtime.Heap.live hs.Runtime.Heap.incref_ops
+      hs.Runtime.Heap.decref_ops;
+    let leaks = Runtime.Heap.live_allocations () in
+    if leaks <> [] then
+      Printf.printf "LEAKS: %s\n" (String.concat ", " leaks)
+  end;
+  report_telemetry engine te
 
 let run_term =
   let file =
     Arg.(value & pos 0 (some file) None
          & info [] ~docv:"FILE"
-           ~doc:"MiniPHP source file (optional with $(b,--perflab))")
+           ~doc:"MiniPHP source file")
   in
   let entry =
     Arg.(value & opt string "main"
@@ -458,34 +353,8 @@ let run_term =
            ~doc:"Run the entry function N times (region mode retranslates \
                  half-way)")
   in
-  let perflab =
-    Arg.(value & flag
-         & info [ "perflab" ]
-           ~doc:"Run the Perflab endpoint mix instead of a source file \
-                 (legacy; see also the $(b,serve) and $(b,report) \
-                 subcommands)")
-  in
-  let serving_report =
-    Arg.(value & opt (some string) None
-         & info [ "serving-report" ] ~docv:"FILE"
-           ~doc:"With $(b,--perflab): run the deterministic measured \
-                 serving burst (spans and profiler forced on, mid-burst \
-                 retranslate-all) and write the JSON latency report — \
-                 p50/p95/p99/max weighted cycles per request, per-phase \
-                 breakdown, per-endpoint percentiles.  Byte-identical for \
-                 any --jit-workers x --request-workers configuration")
-  in
-  let profile_folded =
-    Arg.(value & opt (some string) None
-         & info [ "profile-folded" ] ~docv:"FILE"
-           ~doc:"With $(b,--perflab): write the measured burst's cycle \
-                 attribution as folded stacks (one 'frame;frame;... count' \
-                 line per stack, flamegraph.pl-compatible).  Line counts \
-                 sum exactly to the burst's total serving cycles")
-  in
   Term.(const run $ opts_term $ telemetry_term $ file $ entry $ dump_bc
-        $ dump_regions $ stats $ repeat $ perflab $ serving_report
-        $ profile_folded)
+        $ dump_regions $ stats $ repeat)
 
 (* ------------------------------------------------------------------ *)
 (* serve: the endpoint request stream, cold or jumpstarted             *)
@@ -602,8 +471,86 @@ let warmup_term =
 (* report: telemetry-focused perflab mix run                           *)
 (* ------------------------------------------------------------------ *)
 
-let report opts te serving_report profile_folded =
-  perflab_run opts te serving_report profile_folded
+let report (opts : Core.Jit_options.t) (te : telemetry)
+    (serving_report : string option) (profile_folded : string option) =
+  (* replay the Perflab endpoint mix: the standard workload for
+     inspecting steady-state JIT telemetry *)
+  let base = Server.Perflab.default_config () in
+  let cfg = { base with Server.Perflab.c_opts = opts } in
+  let r = Server.Perflab.measure cfg in
+  Printf.printf "perflab[%s]: %.1f +- %.1f cycles/request, %d code bytes\n"
+    (mode_name opts.mode)
+    r.Server.Perflab.r_weighted r.Server.Perflab.r_ci99
+    r.Server.Perflab.r_code_bytes;
+  (* with request-serving parallelism requested, follow the perflab run
+     with a multi-domain serving burst over the now-warm engine and
+     report throughput (the engine resolved REQUEST_WORKERS at install) *)
+  let eng = r.Server.Perflab.r_engine in
+  (* the deterministic serving report must run BEFORE any parallel
+     burst: a parallel burst leaves schedule-dependent engine state
+     (which translations were lazily compiled, cache history), and the
+     report's byte-stability contract starts from deterministic state *)
+  if serving_report <> None || profile_folded <> None then begin
+    let u = eng.Core.Engine.hunit in
+    let requests = Server.Serving.mix ~rounds:10 () in
+    let trigger =
+      (Array.length requests / 2,
+       fun () -> ignore (Core.Engine.retranslate_all eng))
+    in
+    let m = Server.Serving.measure ~trigger u eng requests in
+    (match serving_report with
+     | Some path ->
+       let oc = open_out path in
+       output_string oc (Server.Serving.report_json requests m);
+       output_char oc '\n';
+       close_out oc;
+       Printf.printf "serving report: wrote %s (%d requests, %d cycles)\n"
+         path (Array.length requests)
+         m.Server.Serving.me_profile_total
+     | None -> ());
+    (match profile_folded with
+     | Some path ->
+       let oc = open_out path in
+       output_string oc (Obs.Profiler.folded ());
+       close_out oc;
+       Printf.printf
+         "profile: wrote %d folded stacks to %s (%d attributed cycles)\n"
+         (List.length m.Server.Serving.me_profile) path
+         m.Server.Serving.me_profile_total
+     | None -> ())
+  end;
+  let rw = eng.Core.Engine.opts.Core.Jit_options.request_workers in
+  if rw > 1 then begin
+    let u = eng.Core.Engine.hunit in
+    let requests = Server.Serving.mix ~rounds:10 () in
+    let sr = Server.Serving.run u eng requests in
+    Printf.printf
+      "serving[%d workers]: %d requests in %.4f s (%.0f req/s), \
+       output hash %d\n"
+      sr.Server.Serving.sv_workers
+      (Array.length requests) sr.Server.Serving.sv_wall_s
+      (float_of_int (Array.length requests) /. sr.Server.Serving.sv_wall_s)
+      sr.Server.Serving.sv_output_hash;
+    if eng.Core.Engine.opts.Core.Jit_options.spans then begin
+      let spans = sr.Server.Serving.sv_spans in
+      Printf.printf "spans: %d request timelines recorded\n"
+        (Array.length spans);
+      List.iter
+        (fun ph ->
+           let i = Obs.Span.phase_index ph in
+           let cnt =
+             Array.fold_left
+               (fun a sp -> a + sp.Obs.Span.sp_counts.(i)) 0 spans
+           and cyc =
+             Array.fold_left
+               (fun a sp -> a + sp.Obs.Span.sp_cycles.(i)) 0 spans
+           in
+           Printf.printf "  %-17s count %-8d cycles %d\n"
+             (Obs.Span.phase_name ph) cnt cyc)
+        Obs.Span.phases
+    end
+  end;
+  report_telemetry eng te
 
 let report_term =
   let serving_report =
@@ -672,6 +619,4 @@ let argv =
     Array.append [| argv.(0); "run" |] (Array.sub argv 1 (Array.length argv - 1))
   else argv
 
-let () =
-  Core.Jit_options.bootstrap ();
-  exit (Cmd.eval ~argv cmd)
+let () = exit (Cmd.eval ~argv cmd)

@@ -1012,7 +1012,7 @@ let sort_inputs (eng : t) (funcs : int list) : sort_cache =
     order, so code-cache offsets, translation ids, inline-cache ids, links
     and trace output are identical for any worker count. *)
 let retranslate_all_locked (eng : t) : int =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now () in
   Obs.Vmstats.bump c_retranslate;
   (* fold profile deltas flushed by serving workers into the canonical
      profile — "merge at retranslate-all trigger time" (the trigger may
@@ -1083,9 +1083,9 @@ let retranslate_all_locked (eng : t) : int =
                    ~kind:Translation.KOptimized))
          order)
   in
-  let t1 = Unix.gettimeofday () in
+  let t1 = Obs.Clock.now () in
   let prepared = Jit_worker.run ~workers:eng.opts.jit_workers tasks in
-  let t2 = Unix.gettimeofday () in
+  let t2 = Obs.Clock.now () in
   (* publish phase: serial, in task (C3) order — every global id below is
      assigned here, independent of which worker compiled what when *)
   let count = ref 0 in
@@ -1109,7 +1109,7 @@ let retranslate_all_locked (eng : t) : int =
       [ ("generation", Obs.Trace.I eng.generation);
         ("functions", Obs.Trace.I (List.length order));
         ("optimized", Obs.Trace.I !count) ];
-  let t3 = Unix.gettimeofday () in
+  let t3 = Obs.Clock.now () in
   (* stall accounting: the compile window [t1, t2] stalls the main domain
      only when it compiles inline (one worker); with background workers the
      main thread is merely waiting and would keep serving requests *)

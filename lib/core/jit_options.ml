@@ -11,10 +11,7 @@
 
     — an explicit setting is anything that moved a field off its
     0/None/unset sentinel before [resolve] ran.  Nothing on the dispatch
-    path reads the environment; the one process-global knob that predates
-    engine install (the interpreter dispatch-loop selector, historically a
-    raw [Sys.getenv_opt "INTERP_THREADED"] inside [Vm.Interp]) is applied
-    by {!bootstrap}, which binaries call once at startup. *)
+    path reads the environment. *)
 
 type mode =
   | Interp        (** bytecode interpreter only *)
@@ -101,11 +98,8 @@ type t = {
      returning the hole bytes to the code budget. *)
   mutable tc_evict_threshold : int;
   mutable tc_compact : bool;
-  (* interpreter dispatch-loop selector ([--no-interp-threaded] /
-     [INTERP_THREADED=0]): [None] leaves the process-wide mode alone
-     (whatever {!bootstrap} resolved from the environment, or a direct
-     toggle from a differential test); [Some b] is an explicit request
-     applied at resolve time. *)
+  (* ignored: the interpreter has a single dispatch loop.  Kept so
+     existing configuration code that sets it still compiles. *)
   mutable interp_threaded : bool option;
   (* set by {!resolve}; a resolved record is frozen — re-resolving is a
      no-op, so one record can be shared across installs (e.g. a steady-
@@ -149,21 +143,6 @@ let default () : t = {
   resolved = false;
 }
 
-let env_off (name : string) : bool =
-  match Sys.getenv_opt name with
-  | Some ("0" | "false" | "off") -> true
-  | _ -> false
-
-(** One-time process bootstrap for knobs that predate any engine install.
-    [INTERP_THREADED=0] selects the legacy match-on-variant interpreter
-    loop for the whole process; binaries (hhvm_run, bench, the test
-    runner) call this once from [main], before any code interprets.
-    Differential tests toggle [Vm.Interp.threaded_dispatch] directly
-    afterwards — {!resolve} never re-reads this environment variable, so
-    such toggles survive engine installs. *)
-let bootstrap () : unit =
-  if env_off "INTERP_THREADED" then Vm.Interp.threaded_dispatch := false
-
 (** The single config-resolution step, run once at engine install:
     environment fallbacks fold into [t] with explicit settings winning
     (see the precedence note on {!type:t}), 0-sentinels resolve to
@@ -173,12 +152,6 @@ let bootstrap () : unit =
 let resolve (t : t) : unit =
   if not t.resolved then begin
   t.resolved <- true;
-  (* explicit dispatch-loop request (flag beats env: bootstrap applied the
-     env to the ref before any engine existed, and an unset option leaves
-     the current process-wide mode untouched) *)
-  (match t.interp_threaded with
-   | Some b -> Vm.Interp.threaded_dispatch := b
-   | None -> ());
   (match t.trace, Sys.getenv_opt "JIT_TRACE" with
    | None, (Some _ as e) -> t.trace <- e
    | _ -> ());

@@ -274,9 +274,9 @@ let record_seconds (t : timer) (dt : float) =
 let time (t : timer) (f : unit -> 'a) : 'a =
   if not !enabled then f ()
   else begin
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now () in
     Fun.protect
-      ~finally:(fun () -> record_seconds t (Unix.gettimeofday () -. t0))
+      ~finally:(fun () -> record_seconds t (Clock.now () -. t0))
       f
   end
 

@@ -205,7 +205,7 @@ let run ?workers ?trigger (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
       if Atomic.compare_and_set fired false true then Some fn else None
     | _ -> None
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now () in
   let spans =
     if workers <= 1 then begin
       (* inline on the calling domain, through its own dispatch context
@@ -313,7 +313,7 @@ let run ?workers ?trigger (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
         (Array.to_list (Array.map (fun r -> r.wr_spans) reports))
     end
   in
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = Obs.Clock.now () -. t0 in
   { sv_outputs = outputs;
     sv_output_hash = output_hash outputs;
     sv_cycles = cycles;
@@ -375,11 +375,11 @@ let measure ?trigger (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
       Some fn
     | _ -> None
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now () in
   for i = 0 to n - 1 do
     serve_request u eng ~outputs ~cycles ~post requests i
   done;
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = Obs.Clock.now () -. t0 in
   (match Core.Engine.exit_serving () with
    | Some m -> Core.Engine.merge_machine eng m
    | None -> ());

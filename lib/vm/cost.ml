@@ -58,10 +58,10 @@ let handler_cost (i : t) : int =
 
 let instr_cost (i : t) : int = dispatch + handler_cost i
 
-(** Pre-resolve the whole body's costs at flatten time: the threaded
-    interpreter charges from this table (one array read per dispatch)
-    instead of re-running the [handler_cost] match per executed bytecode.
-    The simulated cost model itself is unchanged — both dispatch loops
-    charge identical cycles, which is what keeps `INTERP_THREADED={0,1}`
-    ledger-identical and Figure 8's interp:JIT ratio calibrated. *)
+(** Pre-resolve the whole body's costs at flatten time, one entry per
+    bytecode pc: [instr_cost] of the instruction there, the same charge
+    its interpreter handler accrues before any of its effects.  The
+    profiler attributes cycles per opcode from this table, so attributed
+    and charged cycles agree and Figure 8's interp:JIT ratio stays
+    calibrated. *)
 let costs_of_body (body : t array) : int array = Array.map instr_cost body

@@ -2,17 +2,16 @@
 # CI for the HHVM-JIT reproduction:
 #   1. warning-clean build audit (threads/domain deps must be declared,
 #      so a fresh `dune build` prints nothing),
-#   2. tier-1 test suite, then the same suite under INTERP_THREADED=0
-#      so both interpreter dispatch loops are exercised end to end,
+#   2. tier-1 test suite,
 #   3. parallel retranslate-all smoke: JIT_WORKERS=4 exercises the env
 #      path, and `bench/main.exe json` sweeps --jit-workers {1,2,4} and
 #      exits nonzero when output hashes or code-cache byte totals
 #      diverge across worker counts,
 #   4. parallel request-serving smoke: REQUEST_WORKERS=4 exercises the
-#      env path through a multi-domain perflab serving burst, and the
-#      combined JIT_WORKERS=4 REQUEST_WORKERS=4 `bench/main.exe serving`
-#      sweep exits nonzero when per-request outputs diverge across any
-#      (jit x request) worker configuration,
+#      env path through `hhvm_run report`'s multi-domain serving burst,
+#      and the combined JIT_WORKERS=4 REQUEST_WORKERS=4
+#      `bench/main.exe serving` sweep exits nonzero when per-request
+#      outputs diverge across any (jit x request) worker configuration,
 #   5. the bench JSON's `serving` section must carry the per-burst
 #      miss/fallback counters of the write-leased lazy translation path,
 #   6. jumpstart smoke: `hhvm_run warmup --dump` writes an image in one
@@ -54,17 +53,11 @@ fi
 echo "== tier-1 tests =="
 dune runtest
 
-echo "== legacy-dispatch parity smoke (INTERP_THREADED=0) =="
-# the full suite re-run with the match-on-variant interpreter loop: the
-# threaded-dispatch differential tests then compare legacy-vs-threaded
-# from the other direction, and every output/ledger check must still hold
-INTERP_THREADED=0 dune exec test/test_main.exe -- -e
-
 echo "== parallel retranslate smoke (4 workers) =="
 JIT_WORKERS=4 dune exec bench/main.exe -- json
 
 echo "== parallel serving smoke (4 request workers) =="
-REQUEST_WORKERS=4 dune exec bin/hhvm_run.exe -- --perflab
+REQUEST_WORKERS=4 dune exec bin/hhvm_run.exe -- report
 
 echo "== combined compile x serving sweep (4x4) =="
 JIT_WORKERS=4 REQUEST_WORKERS=4 dune exec bench/main.exe -- serving
