@@ -728,7 +728,8 @@ let measure_lifecycle ~(budget : int) () : lifecycle_sample =
      point of this scenario is exactly the density the holes destroy *)
   eng.Core.Engine.opts.Core.Jit_options.huge_pages <- false;
   let lo, hi = Simcpu.Codecache.main_range eng.Core.Engine.cache in
-  Simcpu.Itlb.set_huge eng.Core.Engine.machine.Core.Exec.itlb
+  Simcpu.Itlb.set_huge
+    eng.Core.Engine.main_ctx.Core.Engine.sx_machine.Core.Exec.itlb
     ~enabled:false ~lo ~hi;
   let cache = eng.Core.Engine.cache in
   let opt_translations =
@@ -752,7 +753,7 @@ let measure_lifecycle ~(budget : int) () : lifecycle_sample =
   (* steadying burst: any evicted-but-still-touched srckeys recompile as
      live tracelets here, once, off the measured path *)
   ignore (Server.Serving.run ~workers:1 u eng shifted);
-  let m = eng.Core.Engine.machine in
+  let m = eng.Core.Engine.main_ctx.Core.Engine.sx_machine in
   let ic0 = m.Core.Exec.icache.Simcpu.Icache.misses
   and tb0 = m.Core.Exec.itlb.Simcpu.Itlb.misses in
   let r_holey = Server.Serving.run ~workers:1 u eng shifted in

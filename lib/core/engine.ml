@@ -21,43 +21,37 @@ module Rd = Region.Rdesc
 
 type phase = PProfiling | POptimized
 
-(** Per-srckey translation slot: the retranslation chain as a growable
-    array (publish is O(1) amortized and keeps insertion order — no list
-    re-walk per publish). *)
-type slot = {
-  mutable sl_chain : Translation.t array;  (* first [sl_len] are live *)
-  mutable sl_len : int;
-}
-
 (** An immutable published snapshot of the dispatch state (paper §5.1's
-    publish step, generalized to parallel serving): the srckey tables and
-    retranslation chains frozen at a publish point, plus the translation-
-    link generation and the huge-page mapping of the hot section that were
-    current then.  Every mutation of the translation tables publishes one
-    with a single atomic store before the write lease is released; each
-    domain dispatches against the epoch its context pinned and adopts a
-    newer one at request boundaries (or at once, when it published it), so
-    a request racing a retranslate-all on another domain runs on the old
-    epoch or the new one — never on a half-published chain.  Slots are
-    private trimmed copies, so later table mutation cannot leak into a
-    published view. *)
+    publish step, generalized to parallel serving): the srckey table of
+    retranslation chains at a publish point, plus the translation-link
+    generation and the huge-page mapping of the hot section that were
+    current then.  The latest epoch is the engine's only translation
+    table.  The write-lease holder changes it by copying the outer array,
+    replacing each row it changes with a new row, and publishing the copy
+    with a single atomic store before the lease is released; a published
+    row is never written.  Each domain dispatches against the epoch its
+    context pinned and adopts a newer one at request boundaries (or at
+    once, when it published it), so a request racing a retranslate-all on
+    another domain runs on the old epoch or the new one — never on a
+    half-published chain. *)
 type epoch = {
   ep_seq : int;                            (* publish sequence number *)
   ep_gen : int;                            (* link generation at publish *)
-  ep_trans : slot option array array;
+  (* fid -> pc -> retranslation chain; [||] = no translation *)
+  ep_chains : Translation.t array array array;
   ep_huge : bool;                          (* hot-section huge-page map *)
   ep_main_lo : int;
   ep_main_hi : int;
 }
 
 let empty_epoch : epoch =
-  { ep_seq = 0; ep_gen = 0; ep_trans = [||];
+  { ep_seq = 0; ep_gen = 0; ep_chains = [||];
     ep_huge = false; ep_main_lo = 0; ep_main_hi = 0 }
 
 (** Per-domain dispatch context: the pinned epoch, the SimCPU machine
     (i-cache, I-TLB, inline caches) and the monomorphic last-hit table,
-    indexed like the translation tables.  The engine owns one for the main
-    domain ([main_ctx], wrapping [machine]); a serving worker installs its
+    indexed like the translation table.  The engine owns one for the main
+    domain ([main_ctx]); a serving worker installs its
     own in domain-local storage ({!enter_serving}), and a domain without
     one dispatches through the main context. *)
 type serve_ctx = {
@@ -82,14 +76,7 @@ type sort_cache = {
 type t = {
   opts : Jit_options.t;
   hunit : Hhbc.Hunit.t;
-  machine : Exec.machine;
   cache : Simcpu.Codecache.t;
-  (* dense per-function translation tables indexed by srckey pc:
-     trans.(fid).(pc) is the slot for that srckey (O(1), allocation-free
-     lookup — no tuple hashing).  The compile side's working copy: written
-     by the write-lease holder only, and published as an epoch after every
-     change. *)
-  mutable trans : slot option array array;
   (* srckeys where compilation failed / budget exhausted: don't retry *)
   mutable nocompile : bool array array;
   (* bumped by retranslate-all; stale translation links (and anything else
@@ -108,8 +95,8 @@ type t = {
      adoption), prepared + placed forms aligned in publish order: the
      capture source for jumpstart images (§6.2) *)
   mutable last_opt : (Translation.prepared * int * Translation.t) array;
-  (* the latest epoch; swapped with a single atomic store by
-     [publish_epoch] *)
+  (* the latest epoch, holding the translation table; swapped with a
+     single atomic store by [publish_epoch] *)
   published : epoch Atomic.t;
   (* the dispatch context of every domain that has none of its own *)
   main_ctx : serve_ctx;
@@ -121,8 +108,6 @@ let serve_key : serve_ctx option Domain.DLS.key =
 (** The calling domain's dispatch context. *)
 let ctx_of (eng : t) : serve_ctx =
   match Domain.DLS.get serve_key with Some c -> c | None -> eng.main_ctx
-
-let current : t option ref = ref None
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry handles (registered once, bumped through the handle)      *)
@@ -182,59 +167,35 @@ let c_tc_compact_runs = Obs.Vmstats.counter "tc.compact_runs"
 let body_len (u : Hhbc.Hunit.t) (fid : int) : int =
   Array.length (Hhbc.Hunit.func u fid).Hhbc.Instr.fn_body
 
-let fresh_trans (u : Hhbc.Hunit.t) : slot option array array =
+(* Per-srckey tables sized from the unit once: a unit never gains
+   functions after install (hhbbc runs before it). *)
+let fresh_rows (u : Hhbc.Hunit.t) (x : 'a) : 'a array array =
   Array.init (Hhbc.Hunit.num_funcs u)
-    (fun fid -> Array.make (body_len u fid + 1) None)
+    (fun fid -> Array.make (body_len u fid + 1) x)
 
-let fresh_nocompile (u : Hhbc.Hunit.t) : bool array array =
-  Array.init (Hhbc.Hunit.num_funcs u)
-    (fun fid -> Array.make (body_len u fid + 1) false)
+(** The retranslation chain at (fid, pc) of a srckey table; [||] when
+    there is none. *)
+let chain_at (chains : Translation.t array array array) (fid : int)
+    (pc : int) : Translation.t array =
+  if fid < Array.length chains then
+    let row = chains.(fid) in
+    if pc < Array.length row then row.(pc) else [||]
+  else [||]
 
-(* Sized from the unit, not from any epoch's rows, so srckeys that later
-   publishes add can be cached too. *)
-let fresh_mono (u : Hhbc.Hunit.t)
-  : (Translation.t * Translation.entry) option array array =
-  Array.init (Hhbc.Hunit.num_funcs u)
-    (fun fid -> Array.make (body_len u fid + 1) None)
+(** Append [tr] to its chain in [chains], a private copy of a table's
+    outer array: the row is replaced by a new one, since the old row may
+    belong to a published epoch. *)
+let append_chain (chains : Translation.t array array array)
+    (tr : Translation.t) : unit =
+  let row = Array.copy chains.(tr.Translation.tr_fid) in
+  let pc = tr.Translation.tr_srckey in
+  row.(pc) <- Array.append row.(pc) [| tr |];
+  chains.(tr.Translation.tr_fid) <- row
 
-(** Grow the outer tables if the unit gained functions after install. *)
-let ensure_fid (eng : t) (fid : int) : unit =
-  if fid >= Array.length eng.trans then begin
-    let n = max (Hhbc.Hunit.num_funcs eng.hunit) (fid + 1) in
-    let grow old mk =
-      Array.init n
-        (fun i -> if i < Array.length old then old.(i) else mk i)
-    in
-    eng.trans <-
-      grow eng.trans (fun i -> Array.make (body_len eng.hunit i + 1) None);
-    eng.nocompile <-
-      grow eng.nocompile (fun i -> Array.make (body_len eng.hunit i + 1) false)
-  end
-
-let find_slot (eng : t) (fid : int) (pc : int) : slot option =
-  if fid < Array.length eng.trans then
-    let row = eng.trans.(fid) in
-    if pc < Array.length row then row.(pc) else None
-  else None
-
-let get_or_create_slot (eng : t) (fid : int) (pc : int) : slot =
-  ensure_fid eng fid;
-  let row = eng.trans.(fid) in
-  let row =
-    if pc < Array.length row then row
-    else begin
-      let bigger = Array.make (pc + 1) None in
-      Array.blit row 0 bigger 0 (Array.length row);
-      eng.trans.(fid) <- bigger;
-      bigger
-    end
-  in
-  match row.(pc) with
-  | Some sl -> sl
-  | None ->
-    let sl = { sl_chain = [||]; sl_len = 0 } in
-    row.(pc) <- Some sl;
-    sl
+(** [f] on every translation of a srckey table, in fid, pc, chain order. *)
+let iter_chains (f : Translation.t -> unit)
+    (chains : Translation.t array array array) : unit =
+  Array.iter (Array.iter (Array.iter f)) chains
 
 let no_compile (eng : t) (fid : int) (pc : int) : bool =
   fid < Array.length eng.nocompile
@@ -242,9 +203,9 @@ let no_compile (eng : t) (fid : int) (pc : int) : bool =
   && eng.nocompile.(fid).(pc)
 
 let mark_no_compile (eng : t) (fid : int) (pc : int) : unit =
-  ensure_fid eng fid;
-  let row = eng.nocompile.(fid) in
-  if pc < Array.length row then row.(pc) <- true
+  if fid < Array.length eng.nocompile
+  && pc < Array.length eng.nocompile.(fid) then
+    eng.nocompile.(fid).(pc) <- true
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -337,26 +298,12 @@ let finish_translation (eng : t) ((pr : Translation.prepared), (nblocks : int))
     Obs.Vmstats.bump c_tr_rejected;
     None
 
-(** Compile a region into an assembled translation (serial path). *)
-let compile_region (eng : t) ~(fid : int) ~(region : Rd.t)
-    ~(kind : Translation.kind) : Translation.t option =
-  finish_translation eng (prepare_region eng ~snapshot:None ~fid ~region ~kind)
-
-let publish (eng : t) (tr : Translation.t) =
-  let sl = get_or_create_slot eng tr.tr_fid tr.tr_srckey in
-  if sl.sl_len = Array.length sl.sl_chain then begin
-    let bigger = Array.make (max 2 (2 * sl.sl_len)) tr in
-    Array.blit sl.sl_chain 0 bigger 0 sl.sl_len;
-    sl.sl_chain <- bigger
-  end;
-  sl.sl_chain.(sl.sl_len) <- tr;
-  sl.sl_len <- sl.sl_len + 1
-
 (** Lazily compile a live or profiling translation at (fid, pc), reading
     input types through [oracle] — the type vectors captured when a
-    dispatch missed.  Caller must be the single compile-side writer: the
-    write-lease holder. *)
-let compile_at (eng : t) ~(fid : int) ~(pc : int)
+    dispatch missed — and append it to its chain in [chains].  Caller
+    must be the single compile-side writer: the write-lease holder. *)
+let compile_at (eng : t) (chains : Translation.t array array array)
+    ~(fid : int) ~(pc : int)
     ~(oracle : Rd.loc -> Hhbc.Rtype.t) : Translation.t option =
   if no_compile eng fid pc then None
   else begin
@@ -394,7 +341,10 @@ let compile_at (eng : t) ~(fid : int) ~(pc : int)
         then Region.Relax.run region
         else region
       in
-      match compile_region eng ~fid ~region ~kind with
+      match
+        finish_translation eng
+          (prepare_region eng ~snapshot:None ~fid ~region ~kind)
+      with
       | Some tr ->
         (match kind with
          | Translation.KLive ->
@@ -416,7 +366,7 @@ let compile_at (eng : t) ~(fid : int) ~(pc : int)
                          (Hhbc.Hunit.func eng.hunit fid).fn_name ]
                ~cycles:cc
          | Translation.KOptimized -> ());
-        publish eng tr;
+        append_chain chains tr;
         Some tr
       | None ->
         (* budget exhausted *)
@@ -457,13 +407,6 @@ let entry_matches (frame : Vm.Interp.frame) (en : Translation.entry) : bool =
   end;
   matched
 
-(** Slot lookup against an epoch. *)
-let epoch_slot (ep : epoch) (fid : int) (pc : int) : slot option =
-  if fid < Array.length ep.ep_trans then
-    let row = ep.ep_trans.(fid) in
-    if pc < Array.length row then row.(pc) else None
-  else None
-
 (** Find a translation entry in the context's pinned epoch whose
     preconditions hold for the live state.  The context's monomorphic
     last-hit table is consulted first: steady-state re-entry validates
@@ -474,9 +417,10 @@ let epoch_slot (ep : epoch) (fid : int) (pc : int) : slot option =
 let select_entry (eng : t) (ctx : serve_ctx) (frame : Vm.Interp.frame)
     (pc : int) : (Translation.t * Translation.entry) option =
   let fid = frame.func.fn_id in
-  match epoch_slot ctx.sx_epoch fid pc with
-  | None -> None
-  | Some sl ->
+  let chain = chain_at ctx.sx_epoch.ep_chains fid pc in
+  let len = Array.length chain in
+  if len = 0 then None
+  else begin
     let mono = ctx.sx_mono in
     let cached =
       eng.opts.dispatch_caches && fid < Array.length mono
@@ -497,10 +441,9 @@ let select_entry (eng : t) (ctx : serve_ctx) (frame : Vm.Interp.frame)
     match mono_hit with
     | Some _ -> mono_hit
     | None ->
-      let chain = sl.sl_chain in
       let found = ref None in
       let i = ref 0 in
-      while !found = None && !i < sl.sl_len do
+      while !found = None && !i < len do
         let tr = chain.(!i) in
         let entries = tr.Translation.tr_entries in
         let j = ref 0 in
@@ -514,10 +457,11 @@ let select_entry (eng : t) (ctx : serve_ctx) (frame : Vm.Interp.frame)
       (match !found with
        | Some _ ->
          Obs.Vmstats.bump c_chain_hit;
-         Obs.Vmstats.observe h_chain_len sl.sl_len;
+         Obs.Vmstats.observe h_chain_len len;
          if cached then mono.(fid).(pc) <- !found
        | None -> Obs.Vmstats.bump c_chain_miss);
       !found
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Epochs: publish and adopt                                           *)
@@ -531,7 +475,7 @@ let select_entry (eng : t) (ctx : serve_ctx) (frame : Vm.Interp.frame)
     (remapped only when that map moved). *)
 let adopt (eng : t) (ctx : serve_ctx) (ep : epoch) : unit =
   if ep.ep_gen <> ctx.sx_epoch.ep_gen then
-    ctx.sx_mono <- fresh_mono eng.hunit;
+    ctx.sx_mono <- fresh_rows eng.hunit None;
   ctx.sx_epoch <- ep;
   let tlb = ctx.sx_machine.Exec.itlb in
   if tlb.Simcpu.Itlb.huge <> ep.ep_huge
@@ -547,53 +491,20 @@ let catch_up (eng : t) (ctx : serve_ctx) : bool =
   let ep = Atomic.get eng.published in
   ep.ep_seq <> ctx.sx_epoch.ep_seq && (adopt eng ctx ep; true)
 
-(* Does frozen slot [f] still hold live slot [sl]'s chain? *)
-let same_chain (f : slot) (sl : slot) : bool =
-  let i = ref 0 in
-  while !i < sl.sl_len && !i < f.sl_len && f.sl_chain.(!i) == sl.sl_chain.(!i)
-  do incr i done;
-  f.sl_len = sl.sl_len && !i = sl.sl_len
-
-(** Publish the translation tables as a new epoch with one atomic store,
-    and adopt it on the publishing domain at once.  [fids] limits the
-    rebuild to those functions' rows and shares every other row with the
-    previous epoch: every table change publishes before the write lease
-    is released, so the tables and the latest epoch agree on each row
-    nobody touched.  Without [fids] every row is rebuilt.  Write-lease
-    holder (or an engine nobody serves from yet) only, so the sequence of
-    published epochs is total. *)
-let publish_epoch ?(fids : int list option) (eng : t) : unit =
+(** Publish [chains] as the new epoch with one atomic store, and adopt
+    it on the publishing domain at once.  [chains] is a fresh table, the
+    latest epoch's own, or a copy of its outer array in which every
+    changed row is a new array — once published, neither it nor its rows
+    are written again.  Write-lease holder (or an engine nobody serves
+    from yet) only, so the sequence of published epochs is total. *)
+let publish_epoch (eng : t) (chains : Translation.t array array array)
+  : unit =
   let prev = Atomic.get eng.published in
-  (* frozen rows end at their last slot ([epoch_slot] reads past the end
-     as empty), and a slot whose chain is unchanged keeps its previous
-     frozen copy *)
-  let freeze_row fid =
-    let live = eng.trans.(fid) in
-    let n = ref (Array.length live) in
-    while !n > 0 && Option.is_none live.(!n - 1) do decr n done;
-    Array.init !n (fun pc ->
-        match live.(pc), epoch_slot prev fid pc with
-        | None, _ -> None
-        | Some sl, (Some f as frozen) when same_chain f sl -> frozen
-        | Some sl, _ ->
-          Some { sl_chain = Array.sub sl.sl_chain 0 sl.sl_len;
-                 sl_len = sl.sl_len })
-  in
-  let ep_trans =
-    match fids with
-    | None -> Array.init (Array.length eng.trans) freeze_row
-    | Some fids ->
-      Obs.Vmstats.bump c_epoch_delta;
-      let rows = Array.make (Array.length eng.trans) [||] in
-      Array.blit prev.ep_trans 0 rows 0 (Array.length prev.ep_trans);
-      List.iter (fun fid -> rows.(fid) <- freeze_row fid) fids;
-      rows
-  in
   let lo, hi = Simcpu.Codecache.main_range eng.cache in
   let ep =
     { ep_seq = prev.ep_seq + 1;
       ep_gen = eng.generation;
-      ep_trans;
+      ep_chains = chains;
       ep_huge = eng.opts.huge_pages && eng.optimized_published;
       ep_main_lo = lo;
       ep_main_hi = hi }
@@ -645,7 +556,7 @@ let smash_link (eng : t) ((src : Translation.t), (eid : int))
   end
 
 (* Link an exit resolved in [ctx]'s epoch, unless that epoch is of an
-   older generation than the tables.  Write-lease holder only. *)
+   older generation than the engine's.  Write-lease holder only. *)
 let bind_exit (eng : t) (ctx : serve_ctx) (via : Translation.t * int)
     (target : Translation.t * Translation.entry) : unit =
   if ctx.sx_epoch.ep_gen = eng.generation then smash_link eng via target
@@ -658,8 +569,8 @@ let bind_exit (eng : t) (ctx : serve_ctx) (via : Translation.t * int)
     smashes are assigned in a canonical schedule-independent order per
     queue history.  Caller MUST hold the write lease. *)
 let drain_translation_queue (eng : t) : unit =
-  (* functions that gained a translation, and how many landed *)
-  let fids = ref [] and compiled = ref 0 in
+  let chains = Array.copy (Atomic.get eng.published).ep_chains in
+  let compiled = ref 0 in
   let consumed =
     Translate_queue.drain (fun rq ->
         let fid = rq.Translate_queue.rq_fid
@@ -667,24 +578,14 @@ let drain_translation_queue (eng : t) : unit =
         and locals = rq.Translate_queue.rq_locals
         and stack = rq.Translate_queue.rq_stack in
         if not (no_compile eng fid pc) then begin
-          let sl = find_slot eng fid pc in
-          let chain_len = match sl with Some sl -> sl.sl_len | None -> 0 in
+          let chain = chain_at chains fid pc in
           (* authoritative dedup: an earlier drain may already cover these
              types — the requester just hasn't adopted the epoch that has
              it *)
-          let covered =
-            match sl with
-            | None -> false
-            | Some sl ->
-              let rec any i =
-                i < sl.sl_len
-                && (entry_for_types sl.sl_chain.(i) ~locals ~stack <> None
-                    || any (i + 1))
-              in
-              any 0
-          in
-          if covered then Obs.Vmstats.bump c_lazy_covered
-          else if chain_len < eng.opts.max_live_per_srckey then begin
+          if Array.exists
+              (fun tr -> entry_for_types tr ~locals ~stack <> None) chain
+          then Obs.Vmstats.bump c_lazy_covered
+          else if Array.length chain < eng.opts.max_live_per_srckey then begin
             let oracle (loc : Rd.loc) : Hhbc.Rtype.t =
               match loc with
               | Rd.LLocal l ->
@@ -694,20 +595,22 @@ let drain_translation_queue (eng : t) : unit =
                 if d < Array.length stack then stack.(d)
                 else Hhbc.Rtype.uninit
             in
-            match compile_at eng ~fid ~pc ~oracle with
+            match compile_at eng chains ~fid ~pc ~oracle with
             | Some tr ->
               Obs.Vmstats.bump c_lazy_compiled;
               (match rq.Translate_queue.rq_via,
                      entry_for_types tr ~locals ~stack with
                | Some via, Some en -> smash_link eng via (tr, en)
                | _ -> ());
-              incr compiled;
-              if not (List.mem fid !fids) then fids := fid :: !fids
+              incr compiled
             | None -> ()
           end
         end)
   in
-  if !fids <> [] then publish_epoch eng ~fids:!fids;
+  if !compiled > 0 then begin
+    Obs.Vmstats.bump c_epoch_delta;
+    publish_epoch eng chains
+  end;
   if consumed > 0 && Obs.Trace.on Obs.Trace.Lease then
     Obs.Trace.emit Obs.Trace.Lease
       [ ("event", Obs.Trace.S "drain");
@@ -727,11 +630,7 @@ let translate_miss (eng : t) (ctx : serve_ctx) (frame : Vm.Interp.frame)
     (pc : int) ~(via : (Translation.t * int) option)
   : (Translation.t * Translation.entry) option =
   let fid = frame.func.fn_id in
-  let chain_len =
-    match epoch_slot ctx.sx_epoch fid pc with
-    | Some sl -> sl.sl_len
-    | None -> 0
-  in
+  let chain_len = Array.length (chain_at ctx.sx_epoch.ep_chains fid pc) in
   (* racy read of [nocompile] (rows are replaced wholesale under the
      lease): a stale [true] skips a request that would be rejected
      anyway, a stale [false] is re-checked at drain time *)
@@ -1000,6 +899,33 @@ let sort_inputs (eng : t) (funcs : int list) : sort_cache =
     eng.sort_cache <- Some sc;
     sc
 
+(** Place an optimized publish sequence as a new generation: bump the
+    generation, start fresh srckey chains and no-compile marks, and run
+    [finish_translation] serially in publish order — code-cache offsets,
+    translation ids and inline-cache ids are assigned here.  Returns the
+    fresh table, for the caller to publish.  Shared by retranslate-all and
+    jumpstart adoption; write-lease holder only. *)
+let place_optimized (eng : t)
+    (prs : (Translation.prepared * int) list) : Translation.t array array array =
+  eng.generation <- eng.generation + 1;
+  eng.nocompile <- fresh_rows eng.hunit false;
+  let chains = fresh_rows eng.hunit [||] in
+  let placed =
+    List.filter_map
+      (fun ((p, nb) as pr) ->
+         match finish_translation eng pr with
+         | Some tr ->
+           append_chain chains tr;
+           eng.n_optimized <- eng.n_optimized + 1;
+           eng.opt_bytes <- eng.opt_bytes + tr.Translation.tr_bytes;
+           Some (p, nb, tr)
+         | None -> None)
+      prs
+  in
+  eng.last_opt <- Array.of_list placed;
+  eng.optimized_published <- true;
+  chains
+
 (** The global retranslation trigger (§5.1): form regions for every profiled
     function, optimize, sort functions with C3, and publish the optimized
     code.  Profiling translations are dropped (their section is reclaimed).
@@ -1036,31 +962,22 @@ let retranslate_all_locked (eng : t) : int =
       C3.sort ~edges:(edges @ sc.sc_medges) ~sizes funcs
     end else funcs
   in
-  (* drop profiling translations; optimized code replaces them.  Fresh
-     tables also clear every monomorphic entry cache, and bumping the
-     generation unsmashes every translation link — stale translations
-     cannot be re-entered through any cache after this point. *)
+  (* drop profiling translations; optimized code replaces them.  The
+     fresh table's generation drops every monomorphic entry cache, and
+     bumping the generation unsmashes every translation link — stale
+     translations cannot be re-entered through any cache once the
+     optimized epoch is published. *)
   if Obs.Vmstats.on () then
     (* count the links the generation bump is about to kill *)
-    Array.iter
-      (fun row ->
+    iter_chains
+      (fun tr ->
          Array.iter
-           (function
-             | Some sl ->
-               for i = 0 to sl.sl_len - 1 do
-                 Array.iter
-                   (fun (lk : Translation.link) ->
-                      if lk.Translation.lk_target <> None
-                      && lk.Translation.lk_gen = eng.generation then
-                        Obs.Vmstats.bump c_link_invalidated)
-                   sl.sl_chain.(i).Translation.tr_links
-               done
-             | None -> ())
-           row)
-      eng.trans;
-  eng.generation <- eng.generation + 1;
-  eng.trans <- fresh_trans eng.hunit;
-  eng.nocompile <- fresh_nocompile eng.hunit;
+           (fun (lk : Translation.link) ->
+              if lk.Translation.lk_target <> None
+              && lk.Translation.lk_gen = eng.generation then
+                Obs.Vmstats.bump c_link_invalidated)
+           tr.Translation.tr_links)
+      (Atomic.get eng.published).ep_chains;
   (* compile phase: one task per function, in C3 order, over a frozen
      TransCFG snapshot.  Tasks only read the snapshot and the unit and
      write task-local buffers, so any interleaving yields the same
@@ -1088,27 +1005,13 @@ let retranslate_all_locked (eng : t) : int =
   let t2 = Obs.Clock.now () in
   (* publish phase: serial, in task (C3) order — every global id below is
      assigned here, independent of which worker compiled what when *)
-  let count = ref 0 in
-  let placed = ref [] in
-  Array.iter
-    (List.iter
-       (fun ((p, nb) as pr) ->
-          match finish_translation eng pr with
-          | Some tr ->
-            publish eng tr;
-            eng.n_optimized <- eng.n_optimized + 1;
-            eng.opt_bytes <- eng.opt_bytes + tr.tr_bytes;
-            placed := (p, nb, tr) :: !placed;
-            incr count
-          | None -> ()))
-    prepared;
-  eng.last_opt <- Array.of_list (List.rev !placed);
-  eng.optimized_published <- true;
+  let chains = place_optimized eng (List.concat (Array.to_list prepared)) in
+  let count = Array.length eng.last_opt in
   if Obs.Trace.on Obs.Trace.Retranslate then
     Obs.Trace.emit Obs.Trace.Retranslate
       [ ("generation", Obs.Trace.I eng.generation);
         ("functions", Obs.Trace.I (List.length order));
-        ("optimized", Obs.Trace.I !count) ];
+        ("optimized", Obs.Trace.I count) ];
   let t3 = Obs.Clock.now () in
   (* stall accounting: the compile window [t1, t2] stalls the main domain
      only when it compiles inline (one worker); with background workers the
@@ -1120,14 +1023,14 @@ let retranslate_all_locked (eng : t) : int =
   in
   Obs.Vmstats.record_seconds t_compile compile_s;
   Obs.Vmstats.record_seconds t_pause stall_s;
-  (* one atomic swap publishes the optimized tables; this domain adopts
+  (* one atomic swap publishes the optimized table; this domain adopts
      them at once, mapping the hot section onto huge pages (§5.1.2), and
      requests in flight elsewhere finish on the epoch they pinned *)
-  publish_epoch eng;
-  !count
+  publish_epoch eng chains;
+  count
 
 (** Retranslate-all takes the write lease for its whole run: it rewrites
-    the translation tables, id allocators and code cache that in-burst
+    the translation table, id allocators and code cache that in-burst
     lazy translation mutates under the same lease, so a retranslate fired
     mid-burst serializes against any drain in progress (and lease holders
     observe a consistent generation).  Outside a burst the lease is
@@ -1161,11 +1064,11 @@ let decay_liveness (eng : t) : unit =
 (** Evict optimized translations whose decayed liveness fell below
     [threshold].  For each victim: the srckey chain is pruned, every
     smashed bind jump pointing at it anywhere
-    in the surviving tables is unpatched through the link machinery, its
+    in the surviving chains is unpatched through the link machinery, its
     Main/Cold extents become code-cache holes, and — when a function's
     optimized code is entirely gone — its stale profile is pruned so the
     next retranslate-all cannot resurrect a traffic phase that has
-    passed.  The shrunk rows are republished as an epoch; requests in
+    passed.  The rebuilt rows are published as an epoch; requests in
     flight finish on the epoch they pinned (victim objects stay reachable
     and correct), new requests stop seeing the victims at their next
     boundary, and mono tables — which keep their entries across this
@@ -1208,72 +1111,48 @@ let evict_cold_locked (eng : t) ~(threshold : int) : int =
                ("bytes", Obs.Trace.I tr.Translation.tr_bytes);
                ("score", Obs.Trace.I tr.Translation.tr_live_score) ])
       victims;
-    (* prune victims out of their srckey chains (mono tables skip evicted
-       translations on their own) *)
+    (* rebuild the affected rows without the victims (mono tables skip
+       evicted translations on their own) *)
+    let chains = Array.copy (Atomic.get eng.published).ep_chains in
     Hashtbl.iter
       (fun fid () ->
-         if fid < Array.length eng.trans then
-           Array.iter
-             (function
-               | Some sl ->
-                 let keep = ref [] in
-                 for i = sl.sl_len - 1 downto 0 do
-                   let tr = sl.sl_chain.(i) in
-                   if not tr.Translation.tr_evicted then keep := tr :: !keep
-                 done;
-                 let keep = Array.of_list !keep in
-                 if Array.length keep <> sl.sl_len then begin
-                   sl.sl_chain <- keep;
-                   sl.sl_len <- Array.length keep
-                 end
-               | None -> ())
-             eng.trans.(fid))
+         if fid < Array.length chains then
+           chains.(fid) <-
+             Array.map
+               (fun chain ->
+                  Array.of_list
+                    (List.filter
+                       (fun (tr : Translation.t) ->
+                          not tr.Translation.tr_evicted)
+                       (Array.to_list chain)))
+               chains.(fid))
       affected;
-    (* unpatch incoming smashed bind jumps: scan every surviving chain's
-       link slots and revert those whose target died.  Links smashed in
-       the current generation count as invalidations (the same counter a
-       retranslate-all generation bump feeds); a reader racing the store
-       either sees the old target — still a correct, reachable
-       translation — or the unlinked state. *)
-    Array.iter
-      (fun row ->
+    (* one pass over the surviving chains.  Unpatch incoming smashed bind
+       jumps whose target died: links smashed in the current generation
+       count as invalidations (the same counter a retranslate-all
+       generation bump feeds); a reader racing the store either sees the
+       old target — still a correct, reachable translation — or the
+       unlinked state.  And a function still holding optimized code
+       keeps its profile. *)
+    iter_chains
+      (fun tr ->
+         if tr.Translation.tr_kind = Translation.KOptimized then
+           Hashtbl.remove affected tr.Translation.tr_fid;
          Array.iter
-           (function
-             | Some sl ->
-               for i = 0 to sl.sl_len - 1 do
-                 Array.iter
-                   (fun (lk : Translation.link) ->
-                      match lk.Translation.lk_target with
-                      | Some (dst, _) when dst.Translation.tr_evicted ->
-                        if lk.Translation.lk_gen = eng.generation
-                        && Obs.Vmstats.on () then
-                          Obs.Vmstats.bump c_link_invalidated;
-                        lk.Translation.lk_target <- None
-                      | _ -> ())
-                   sl.sl_chain.(i).Translation.tr_links
-               done
-             | None -> ())
-           row)
-      eng.trans;
+           (fun (lk : Translation.link) ->
+              match lk.Translation.lk_target with
+              | Some (dst, _) when dst.Translation.tr_evicted ->
+                if lk.Translation.lk_gen = eng.generation
+                && Obs.Vmstats.on () then
+                  Obs.Vmstats.bump c_link_invalidated;
+                lk.Translation.lk_target <- None
+              | _ -> ())
+           tr.Translation.tr_links)
+      chains;
     (* a function with no optimized translation left: drop its profile *)
-    Hashtbl.iter
-      (fun fid () ->
-         let any_opt = ref false in
-         if fid < Array.length eng.trans then
-           Array.iter
-             (function
-               | Some sl ->
-                 for i = 0 to sl.sl_len - 1 do
-                   if sl.sl_chain.(i).Translation.tr_kind
-                      = Translation.KOptimized
-                   then any_opt := true
-                 done
-               | None -> ())
-             eng.trans.(fid);
-         if not !any_opt then Region.Transcfg.prune_func fid)
-      affected;
-    publish_epoch eng
-      ~fids:(Hashtbl.fold (fun fid () acc -> fid :: acc) affected []);
+    Hashtbl.iter (fun fid () -> Region.Transcfg.prune_func fid) affected;
+    Obs.Vmstats.bump c_epoch_delta;
+    publish_epoch eng chains;
     List.length victims
   end
 
@@ -1282,7 +1161,7 @@ let evict_cold_locked (eng : t) ~(threshold : int) : int =
     closing the eviction holes.  [Translation.relocate] rewrites each
     survivor's instruction addresses in place, and since links, mono
     caches and published epochs all hold the translation objects, the
-    move is visible everywhere without a fixup pass.  The full state is
+    move is visible everywhere without a fixup pass.  The same table is
     republished (same generation — adopting contexts keep their mono
     tables) and adopting it remaps the tightened hot extent onto huge
     pages, so the
@@ -1311,7 +1190,7 @@ let compact_tc_locked (eng : t) : int =
         [ ("event", Obs.Trace.S "tc_compact");
           ("survivors", Obs.Trace.I (Array.length survivors));
           ("reclaimed", Obs.Trace.I holes) ];
-    publish_epoch eng;
+    publish_epoch eng (Atomic.get eng.published).ep_chains;
     holes
   end
 
@@ -1422,22 +1301,8 @@ let adopt_image (eng : t) (im : Jumpstart.image) : unit =
   Region.Select.next_block_id :=
     max !Region.Select.next_block_id im.Jumpstart.im_next_block_id;
   eng.phase <- POptimized;
-  eng.generation <- eng.generation + 1;
-  eng.trans <- fresh_trans eng.hunit;
-  eng.nocompile <- fresh_nocompile eng.hunit;
-  let placed = ref [] in
-  Array.iter
-    (fun ((p : Translation.prepared), nb) ->
-       match finish_translation eng (p, nb) with
-       | Some tr ->
-         publish eng tr;
-         eng.n_optimized <- eng.n_optimized + 1;
-         eng.opt_bytes <- eng.opt_bytes + tr.Translation.tr_bytes;
-         placed := (p, nb, tr) :: !placed
-       | None -> ())
-    im.Jumpstart.im_trans;
-  let placed = Array.of_list (List.rev !placed) in
-  eng.last_opt <- placed;
+  let chains = place_optimized eng (Array.to_list im.Jumpstart.im_trans) in
+  let placed = eng.last_opt in
   (* re-smash the captured bind jumps at this engine's generation *)
   Array.iter
     (fun (si, eid, di, ei) ->
@@ -1452,14 +1317,13 @@ let adopt_image (eng : t) (im : Jumpstart.image) : unit =
          end
        end)
     im.Jumpstart.im_links;
-  eng.optimized_published <- true;
   if Obs.Trace.on Obs.Trace.Retranslate then
     Obs.Trace.emit Obs.Trace.Retranslate
       [ ("event", Obs.Trace.S "jumpstart_adopt");
         ("generation", Obs.Trace.I eng.generation);
         ("optimized", Obs.Trace.I (Array.length placed));
         ("links", Obs.Trace.I (Array.length im.Jumpstart.im_links)) ];
-  publish_epoch eng
+  publish_epoch eng chains
 
 (* ------------------------------------------------------------------ *)
 (* Call dispatch and installation                                      *)
@@ -1501,14 +1365,11 @@ let install ?(opts : Jit_options.t option) (u : Hhbc.Hunit.t) : t =
   Obs.Profiler.reset ();
   Obs.Snapshot.configure ?path:opts.snapshot_out
     ~every:opts.snapshot_interval ();
-  let machine = Exec.create_machine () in
   let eng = {
     opts;
     hunit = u;
-    machine;
     cache = Simcpu.Codecache.create ?budget:opts.code_budget ();
-    trans = fresh_trans u;
-    nocompile = fresh_nocompile u;
+    nocompile = fresh_rows u false;
     generation = 0;
     phase = PProfiling;
     optimized_published = false;
@@ -1518,9 +1379,9 @@ let install ?(opts : Jit_options.t option) (u : Hhbc.Hunit.t) : t =
     last_opt = [||];
     published = Atomic.make empty_epoch;
     main_ctx =
-      { sx_machine = machine; sx_epoch = empty_epoch; sx_mono = fresh_mono u };
+      { sx_machine = Exec.create_machine (); sx_epoch = empty_epoch;
+        sx_mono = fresh_rows u None };
   } in
-  current := Some eng;
   (* the installing domain dispatches through the new main context *)
   Domain.DLS.set serve_key None;
   (* translation ids, inline-cache ids and TransCFG block ids restart per
@@ -1552,7 +1413,7 @@ let install ?(opts : Jit_options.t option) (u : Hhbc.Hunit.t) : t =
        (fun frame pc -> try_enter eng (ctx_of eng) frame pc);
      Vm.Interp.hook_active := true
    end);
-  publish_epoch eng;
+  publish_epoch eng (fresh_rows u [||]);
   eng
 
 (* ------------------------------------------------------------------ *)
@@ -1566,7 +1427,7 @@ let enter_serving (eng : t) : unit =
   let ep = Atomic.get eng.published in
   let ctx =
     { sx_machine = Exec.create_machine (); sx_epoch = ep;
-      sx_mono = fresh_mono eng.hunit }
+      sx_mono = fresh_rows eng.hunit None }
   in
   adopt eng ctx ep;
   Domain.DLS.set serve_key (Some ctx)
@@ -1579,7 +1440,7 @@ let begin_request (eng : t) : unit =
 
 (** Leave serving mode: the domain falls back to the main context.
     Returns the worker's machine so the scheduler can fold its counters
-    into the engine's with [merge_machine]. *)
+    into the main context's with [merge_machine]. *)
 let exit_serving () : Exec.machine option =
   match Domain.DLS.get serve_key with
   | None -> None
@@ -1587,10 +1448,11 @@ let exit_serving () : Exec.machine option =
     Domain.DLS.set serve_key None;
     Some ctx.sx_machine
 
-(** Fold a joined serving worker's machine counters into the engine's main
-    machine, so process-wide exec/i-cache/I-TLB totals stay exact. *)
+(** Fold a joined serving worker's machine counters into the main
+    context's machine, so process-wide exec/i-cache/I-TLB totals stay
+    exact. *)
 let merge_machine (eng : t) (w : Exec.machine) : unit =
-  let m = eng.machine in
+  let m = eng.main_ctx.sx_machine in
   m.Exec.instrs_executed <- m.Exec.instrs_executed + w.Exec.instrs_executed;
   m.Exec.cycles_live <- m.Exec.cycles_live + w.Exec.cycles_live;
   m.Exec.cycles_prof <- m.Exec.cycles_prof + w.Exec.cycles_prof;
@@ -1607,14 +1469,14 @@ let code_bytes (eng : t) : int = Simcpu.Codecache.bytes_used eng.cache
 (** Retranslation-chain length at a srckey (test observability: the lease
     contention test asserts racing misses produced exactly one entry). *)
 let chain_length (eng : t) ~(fid : int) ~(pc : int) : int =
-  match find_slot eng fid pc with Some sl -> sl.sl_len | None -> 0
+  Array.length (chain_at (Atomic.get eng.published).ep_chains fid pc)
 
 (** Sample the engine's level-style metrics into vmstats gauges.  These are
     cheap to read on demand but would be expensive to maintain per event,
     so dumps ([--vmstats], bench json) sync them just before reading. *)
 let sync_vmstats (eng : t) : unit =
   let g name v = Obs.Vmstats.set (Obs.Vmstats.gauge name) v in
-  let m = eng.machine in
+  let m = eng.main_ctx.sx_machine in
   let cb s = Simcpu.Codecache.section_bytes eng.cache s in
   g "code.bytes.main" (cb Simcpu.Codecache.Main);
   g "code.bytes.cold" (cb Simcpu.Codecache.Cold);

@@ -1,7 +1,7 @@
 (** tc-print: the translation-cache inspector (HHVM's tc-print tool,
     scaled to this substrate).
 
-    Walks the engine's translation tables and ranks translations by
+    Walks the engine's translation table and ranks translations by
     execution count (ties broken by simulated cycles).  For each ranked
     translation it prints identity (id, kind, function, srckey, bytes),
     runtime weight (execs, cycles), region provenance (the profiling
@@ -10,25 +10,11 @@
 
 module Rd = Region.Rdesc
 
-(** Unique translations currently published in the engine's tables. *)
+(** Translations in the engine's latest published epoch. *)
 let collect (eng : Engine.t) : Translation.t list =
-  let seen = Hashtbl.create 256 in
   let acc = ref [] in
-  Array.iter
-    (fun row ->
-       Array.iter
-         (function
-           | Some (sl : Engine.slot) ->
-             for i = 0 to sl.Engine.sl_len - 1 do
-               let tr = sl.Engine.sl_chain.(i) in
-               if not (Hashtbl.mem seen tr.Translation.tr_id) then begin
-                 Hashtbl.replace seen tr.Translation.tr_id ();
-                 acc := tr :: !acc
-               end
-             done
-           | None -> ())
-         row)
-    eng.Engine.trans;
+  Engine.iter_chains (fun tr -> acc := tr :: !acc)
+    (Atomic.get eng.Engine.published).Engine.ep_chains;
   !acc
 
 (** Ranking modes: by execution count, by accumulated simulated cycles,

@@ -127,7 +127,7 @@ let simulate ?(opts : Core.Jit_options.t option)
     if Runtime.Ledger.read () - !bucket_start >= bucket_cycles then sample_now ()
   done;
   sample_now ();
-  let m = eng.Core.Engine.machine in
+  let m = eng.Core.Engine.main_ctx.Core.Engine.sx_machine in
   let jit_cycles =
     m.Core.Exec.cycles_live + m.Core.Exec.cycles_prof + m.Core.Exec.cycles_opt
   in

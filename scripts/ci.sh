@@ -38,7 +38,11 @@
 #   9. repo benchmark smoke: each perfbench workload for one second at
 #      seed 1, which applies its per-request output check against the
 #      other engine, the seed-1 output digests and the cross-round
-#      determinism gate to the single-domain dispatch path.
+#      determinism gate to the single-domain dispatch path,
+#  10. clock gate: no direct wall-clock read (Unix.gettimeofday,
+#      Unix.time, Sys.time) in lib/, bin/ or bench/ — every clock read
+#      there goes through Obs.Clock.now, the monotonic clock.  test/ is
+#      exempt (a test may time its own wall budget).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -137,5 +141,12 @@ for w in steady_region interp_only cold_start mix_shift; do
   python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 \
     | tail -n 1
 done
+
+echo "== clock gate (Obs.Clock.now only in lib/ bin/ bench/) =="
+if grep -rnE --include='*.ml' --include='*.mli' \
+     '\b(Unix\.gettimeofday|Unix\.time|Sys\.time)\b' lib bin bench; then
+  echo "ERROR: direct clock read above; use Obs.Clock.now"
+  exit 1
+fi
 
 echo "CI OK"

@@ -315,21 +315,13 @@ let engine_tests = [
       in
       let out1 = call () in
       let _ = call () in
-      (* collect every translation reachable from the dispatch tables and
+      (* collect every translation reachable from the published table and
          the main dispatch context's monomorphic cache *)
       let collect () =
-        let ids = ref [] and monos = ref 0 in
-        Array.iter
-          (fun row ->
-             Array.iter
-               (function
-                 | Some (sl : Core.Engine.slot) ->
-                   for i = 0 to sl.sl_len - 1 do
-                     ids := sl.sl_chain.(i).Core.Translation.tr_id :: !ids
-                   done
-                 | None -> ())
-               row)
-          eng.Core.Engine.trans;
+        let ids =
+          ref (List.map (fun (tr : Core.Translation.t) -> tr.tr_id)
+                 (Core.Tc_print.collect eng))
+        and monos = ref 0 in
         Array.iter
           (Array.iter (function
                | Some ((tr : Core.Translation.t), _) ->
@@ -345,16 +337,9 @@ let engine_tests = [
       (* keep one pre-retranslate translation to inspect its links later *)
       let old_tr =
         let found = ref None in
-        Array.iter
-          (fun row ->
-             Array.iter
-               (function
-                 | Some (sl : Core.Engine.slot) ->
-                   if !found = None && sl.sl_len > 0 then
-                     found := Some sl.sl_chain.(0)
-                 | None -> ())
-               row)
-          eng.Core.Engine.trans;
+        Core.Engine.iter_chains
+          (fun tr -> if Option.is_none !found then found := Some tr)
+          (Atomic.get eng.Core.Engine.published).Core.Engine.ep_chains;
         Option.get !found
       in
       let old_gen = eng.Core.Engine.generation in

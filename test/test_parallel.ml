@@ -527,6 +527,60 @@ let test_lifecycle_evict_mid_chain () =
   let r4, _ = run_with_evict 4 in
   check_serving_equal "mass eviction mid-burst @ 4 workers" r_plain r4
 
+(* Every srckey of an epoch with a non-empty chain, as (fid, pc, ids). *)
+let epoch_chains (ep : Core.Engine.epoch) : (int * int * int list) list =
+  let acc = ref [] in
+  Array.iteri
+    (fun fid row ->
+       Array.iteri
+         (fun pc chain ->
+            if Array.length chain > 0 then
+              acc :=
+                (fid, pc,
+                 List.map (fun (tr : Core.Translation.t) -> tr.tr_id)
+                   (Array.to_list chain))
+                :: !acc)
+         row)
+    ep.Core.Engine.ep_chains;
+  List.rev !acc
+
+let test_epoch_never_written () =
+  (* copy-on-write publish: a lazy compile, two evictions (victims must
+     reach age 2) and a compaction each publish a new epoch, and none may
+     write a row an older epoch holds — a context pinned before them must
+     keep reading exactly the chains it pinned *)
+  let u, eng = serving_engine () in
+  let pinned = Atomic.get eng.Core.Engine.published in
+  let before = epoch_chains pinned in
+  Alcotest.(check bool) "warm epoch has chains" true (before <> []);
+  let compiled () = Obs.Vmstats.counter_value "lazy_translate.compiled" in
+  let c0 = compiled () in
+  ignore
+    (Server.Serving.run ~workers:1 u eng
+       (Server.Serving.mix_shifted ~salt:7 ~rounds:1 ()));
+  Alcotest.(check bool) "a lazy compile published" true (compiled () > c0);
+  let fresh_srckey =
+    List.exists
+      (fun (fid, pc, _) ->
+         not (List.exists (fun (f, p, _) -> f = fid && p = pc) before))
+      (epoch_chains (Atomic.get eng.Core.Engine.published))
+  in
+  Alcotest.(check bool) "a new srckey gained a chain" true fresh_srckey;
+  ignore (Core.Engine.evict_cold eng ~threshold:max_int);
+  ignore (Core.Engine.evict_cold eng ~threshold:max_int);
+  Alcotest.(check bool) "eviction fired" true
+    (Obs.Vmstats.counter_value "tc.evicted" > 0);
+  ignore (Core.Engine.compact_tc eng);
+  Alcotest.(check (list (triple int int (list int))))
+    "pinned epoch holds the same chains" before (epoch_chains pinned);
+  Core.Engine.iter_chains
+    (fun (tr : Core.Translation.t) ->
+       Alcotest.(check bool)
+         (Printf.sprintf "translation %d in the latest epoch is live"
+            tr.tr_id)
+         false tr.tr_evicted)
+    (Atomic.get eng.Core.Engine.published).Core.Engine.ep_chains
+
 (* ---- Codecache: reset_optimized accounting ---- *)
 
 let test_codecache_reset_accounting () =
@@ -627,4 +681,6 @@ let suite =
       Alcotest.test_case "lifecycle: mono cache skips evicted code" `Quick
         test_lifecycle_mono_evicted;
       Alcotest.test_case "lifecycle: mass eviction mid-chain-follow" `Quick
-        test_lifecycle_evict_mid_chain ] )
+        test_lifecycle_evict_mid_chain;
+      Alcotest.test_case "lifecycle: published epochs are never written"
+        `Quick test_epoch_never_written ] )
