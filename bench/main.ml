@@ -109,8 +109,7 @@ let fig10 () =
        fun (o : Core.Jit_options.t) ->
          o.method_dispatch <- false; o.inline_cache <- false);
       ("PGO Layout",
-       fun (o : Core.Jit_options.t) ->
-         o.pgo_layout <- false; o.function_sort <- false);
+       fun (o : Core.Jit_options.t) -> o.pgo_layout <- false);
       ("All PGO", Core.Jit_options.disable_all_pgo);
       ("Huge Pages", fun (o : Core.Jit_options.t) -> o.huge_pages <- false) ]
   in
@@ -1127,8 +1126,7 @@ let vmstats () =
       ("Guard Relax.", fun o -> o.guard_relax <- false);
       ("Method Disp.",
        fun o -> o.method_dispatch <- false; o.inline_cache <- false);
-      ("PGO Layout",
-       fun o -> o.pgo_layout <- false; o.function_sort <- false);
+      ("PGO Layout", fun o -> o.pgo_layout <- false);
       ("All PGO", Core.Jit_options.disable_all_pgo);
       ("Huge Pages", fun o -> o.huge_pages <- false);
       ("Disp. caches", fun o -> o.dispatch_caches <- false);

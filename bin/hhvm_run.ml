@@ -16,9 +16,8 @@
         hhvm_run report --vmstats=json
         hhvm_run --trace link,exit --trace-out t.trace.jsonl prog.mphp
 
-    Option resolution is consolidated in [Core.Jit_options]: flags set
-    explicit fields, and [resolve] (run once at engine install) folds in
-    environment fallbacks with flag > env > default precedence. *)
+    Every engine knob is a flag: the flags fill one [Core.Jit_options]
+    record, which is the engine's only configuration input. *)
 
 open Cmdliner
 
@@ -68,9 +67,8 @@ let usage_error fmt =
 (* Shared option groups                                                *)
 (* ------------------------------------------------------------------ *)
 
-(** JIT/engine options shared by every subcommand.  The builder sets
-    explicit fields only; environment fallbacks are folded in by
-    [Core.Jit_options.resolve] at engine install. *)
+(** JIT/engine options shared by every subcommand.  A count flag out of
+    range is a usage error (exit 2). *)
 let opts_term : Core.Jit_options.t Term.t =
   let mode =
     Arg.(value & opt mode_conv Core.Jit_options.Region
@@ -95,20 +93,19 @@ let opts_term : Core.Jit_options.t Term.t =
            ~doc:"Disable vmstats probes (the overhead baseline)")
   in
   let jit_workers =
-    Arg.(value & opt int 0
+    Arg.(value & opt int 1
          & info [ "jit-workers" ] ~docv:"N"
            ~doc:"Parallel retranslate-all: compile optimized translations \
-                 on N domains (publish stays serial and deterministic, so \
-                 output is identical for any N; also JIT_WORKERS; default 1)")
+                 on N >= 1 domains (publish stays serial and deterministic, \
+                 so output is identical for any N)")
   in
   let request_workers =
-    Arg.(value & opt int 0
+    Arg.(value & opt int 1
          & info [ "request-workers" ] ~docv:"N"
            ~doc:"Parallel request serving: fan the endpoint request mix \
-                 across N domains over the shared translation cache.  \
-                 Per-request outputs and the aggregate output hash are \
-                 identical for any N; also REQUEST_WORKERS; default 1 \
-                 (serve on the calling domain)")
+                 across N >= 1 domains over the shared translation cache \
+                 (1 serves on the calling domain).  Per-request outputs and \
+                 the aggregate output hash are identical for any N")
   in
   let trace =
     Arg.(value & opt (some string) None
@@ -127,7 +124,7 @@ let opts_term : Core.Jit_options.t Term.t =
            ~doc:"Record a per-request span timeline (epoch adoption, JIT \
                  vs interp cycles, miss enqueues, lease waits, retranslate \
                  pauses) during serving bursts, plus the cycle-attribution \
-                 profiler.  Off by default (also SPANS=1); overhead is \
+                 profiler.  Off by default; overhead is \
                  bounded at a few percent because phase cycles come from \
                  ledger deltas at request boundaries, not per-instruction \
                  probes")
@@ -136,14 +133,13 @@ let opts_term : Core.Jit_options.t Term.t =
     Arg.(value & opt (some string) None
          & info [ "snapshot-out" ] ~docv:"FILE"
            ~doc:"Stream gauge snapshots (queue depth, lease state, code \
-                 bytes, epoch) as JSONL to FILE during serving bursts \
-                 (also SNAPSHOT_OUT)")
+                 bytes, epoch) as JSONL to FILE during serving bursts")
   in
   let snapshot_interval =
     Arg.(value & opt int 0
          & info [ "snapshot-interval" ] ~docv:"N"
            ~doc:"Emit one snapshot line every N completed requests \
-                 (also SNAPSHOT_INTERVAL; 0 disables)")
+                 (0 disables)")
   in
   let tc_evict_threshold =
     Arg.(value & opt int 0
@@ -153,8 +149,8 @@ let opts_term : Core.Jit_options.t Term.t =
                  since the last tick) and evicts those below N — links \
                  unpatched, srckey chains pruned, published without a \
                  serving pause.  Outputs are unaffected: evicted code \
-                 falls back to lazy translation or the interpreter (also \
-                 TC_EVICT_THRESHOLD; 0 disables, the default)")
+                 falls back to lazy translation or the interpreter (0 \
+                 disables, the default)")
   in
   let tc_compact =
     Arg.(value & flag
@@ -162,32 +158,39 @@ let opts_term : Core.Jit_options.t Term.t =
            ~doc:"After a lifecycle eviction, compact the Main/Cold \
                  sections: relocate surviving optimized translations to \
                  close the holes, restoring i-cache/I-TLB density and \
-                 returning the evicted bytes to the code budget (also \
-                 TC_COMPACT=1)")
+                 returning the evicted bytes to the code budget")
   in
   let mk mode no_rce no_inlining no_relax no_dispatch no_stats jit_workers
       request_workers trace trace_out spans snapshot_out snapshot_interval
       tc_evict_threshold tc_compact =
+    if jit_workers < 1 then
+      usage_error "--jit-workers must be at least 1 (got %d)" jit_workers;
+    if request_workers < 1 then
+      usage_error "--request-workers must be at least 1 (got %d)"
+        request_workers;
+    if snapshot_interval < 0 then
+      usage_error "--snapshot-interval must not be negative (got %d)"
+        snapshot_interval;
+    if tc_evict_threshold < 0 then
+      usage_error "--tc-evict-threshold must not be negative (got %d)"
+        tc_evict_threshold;
     let opts = Core.Jit_options.default () in
     opts.mode <- mode;
-    if jit_workers > 0 then opts.jit_workers <- jit_workers;
-    if request_workers > 0 then opts.request_workers <- request_workers;
-    if no_rce then opts.rce <- false;
-    if no_inlining then opts.inlining <- false;
-    if no_relax then opts.guard_relax <- false;
-    if no_dispatch then begin
-      opts.method_dispatch <- false;
-      opts.inline_cache <- false
-    end;
-    if no_stats then opts.stats <- false;
+    opts.jit_workers <- jit_workers;
+    opts.request_workers <- request_workers;
+    opts.rce <- not no_rce;
+    opts.inlining <- not no_inlining;
+    opts.guard_relax <- not no_relax;
+    opts.method_dispatch <- not no_dispatch;
+    opts.inline_cache <- not no_dispatch;
+    opts.stats <- not no_stats;
     opts.trace <- trace;
     opts.trace_out <- trace_out;
-    if spans then opts.spans <- true;
-    if snapshot_out <> None then opts.snapshot_out <- snapshot_out;
-    if snapshot_interval > 0 then opts.snapshot_interval <- snapshot_interval;
-    if tc_evict_threshold > 0 then
-      opts.tc_evict_threshold <- tc_evict_threshold;
-    if tc_compact then opts.tc_compact <- true;
+    opts.spans <- spans;
+    opts.snapshot_out <- snapshot_out;
+    opts.snapshot_interval <- snapshot_interval;
+    opts.tc_evict_threshold <- tc_evict_threshold;
+    opts.tc_compact <- tc_compact;
     opts
   in
   Term.(const mk $ mode $ no_rce $ no_inlining $ no_relax $ no_dispatch
@@ -484,7 +487,7 @@ let report (opts : Core.Jit_options.t) (te : telemetry)
     r.Server.Perflab.r_code_bytes;
   (* with request-serving parallelism requested, follow the perflab run
      with a multi-domain serving burst over the now-warm engine and
-     report throughput (the engine resolved REQUEST_WORKERS at install) *)
+     report throughput *)
   let eng = r.Server.Perflab.r_engine in
   (* the deterministic serving report must run BEFORE any parallel
      burst: a parallel burst leaves schedule-dependent engine state

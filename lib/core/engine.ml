@@ -951,9 +951,9 @@ let retranslate_all_locked (eng : t) : int =
     Hashtbl.fold (fun fid _ acc -> fid :: acc) Region.Transcfg.blocks_by_func []
     |> List.sort_uniq compare
   in
-  (* function order: C3 over the dynamic call graph *)
+  (* function order (part of PGO layout): C3 over the dynamic call graph *)
   let order =
-    if eng.opts.function_sort then begin
+    if eng.opts.pgo_layout then begin
       let sc = sort_inputs eng funcs in
       let edges = Vm.Prof.call_graph () in
       let sizes fid =
@@ -1343,11 +1343,6 @@ let call_func (eng : t) (u : Hhbc.Hunit.t) (fid : int) (args : value array)
     engine (call dispatcher + translation hook). *)
 let install ?(opts : Jit_options.t option) (u : Hhbc.Hunit.t) : t =
   let opts = match opts with Some o -> o | None -> Jit_options.default () in
-  (* the one config-resolution step: flags > env > defaults fold into
-     [opts] here, once — nothing on the dispatch path reads the
-     environment (see Jit_options.resolve; idempotent on a record shared
-     across installs) *)
-  Jit_options.resolve opts;
   Obs.Vmstats.enabled := opts.stats;
   Obs.Vmstats.reset ();
   Obs.Trace.configure ~spec:opts.trace ?path:opts.trace_out ();

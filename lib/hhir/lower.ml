@@ -27,29 +27,14 @@ type options = {
   o_inline : bool;
   o_method_dispatch : bool;   (* profile-guided devirtualization *)
   o_inline_cache : bool;
-  o_max_inline_blocks : int;
   o_max_inline_instrs : int;
   o_rce : bool;               (* consumed by the opt pipeline, carried here *)
-  o_load_elim : bool;
-  o_store_elim : bool;
-  o_gvn : bool;
-  o_simplify : bool;
   o_relax : bool;
 }
 
-let default_options = {
-  o_inline = true;
-  o_method_dispatch = true;
-  o_inline_cache = true;
-  o_max_inline_blocks = 4;
-  o_max_inline_instrs = 40;
-  o_rce = true;
-  o_load_elim = true;
-  o_store_elim = true;
-  o_gvn = true;
-  o_simplify = true;
-  o_relax = true;
-}
+(* partial-inlining block budget: a callee region with more blocks is
+   called, not inlined *)
+let inline_block_budget = 4
 
 (* inline caches for CallMethodCached: ids are allocated at lowering time
    but are *unit-local* (0-based per lowered IR); Translation.place maps
@@ -1015,7 +1000,7 @@ and try_inline env b st ~bcpc ~delta ~(fid : int) ~(args : tmp list)
           in
           let this_ok = this_ <> None || callee.fn_cls = None in
           if (not tree)
-          || List.length heads > env.opts.o_max_inline_blocks
+          || List.length heads > inline_block_budget
           || total > env.opts.o_max_inline_instrs
           || has_iters || not this_ok then false
           else begin

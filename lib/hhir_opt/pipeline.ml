@@ -40,25 +40,23 @@ let run ~(mode : mode) ~(opts : options) (u : Hhir.Ir.t) : pass_stats =
     Obs.Vmstats.add c n;
     n
   in
-  let simplified = ref 0 and gvn = ref 0 and loads = ref 0 in
-  let stores = ref 0 and rce_pairs = ref 0 and dce = ref 0 in
   (* profiling translations skip even simplify: JIT speed over code speed *)
-  if opts.o_simplify && mode <> Profiling then
-    simplified := pass t_simplify c_simplify Simplify.run;
-  if full && opts.o_load_elim then
-    loads := pass t_load_elim c_load_elim Load_elim.run;
-  if full && opts.o_gvn then gvn := pass t_gvn c_gvn Gvn.run;
-  if opts.o_simplify && mode <> Profiling then
-    simplified := !simplified + pass t_simplify c_simplify Simplify.run;
-  if full && opts.o_store_elim then
-    stores := pass t_store_elim c_store_elim Store_elim.run;
-  if full && opts.o_rce then rce_pairs := pass t_rce c_rce Rce.run;
-  dce := pass t_dce c_dce Dce.run;
+  let simplify () =
+    if mode <> Profiling then pass t_simplify c_simplify Simplify.run else 0
+  in
+  let full_pass t c f = if full then pass t c f else 0 in
+  let simplified = simplify () in
+  let loads = full_pass t_load_elim c_load_elim Load_elim.run in
+  let gvn = full_pass t_gvn c_gvn Gvn.run in
+  let simplified = simplified + simplify () in
+  let stores = full_pass t_store_elim c_store_elim Store_elim.run in
+  let rce_pairs = if opts.o_rce then full_pass t_rce c_rce Rce.run else 0 in
+  let dce = pass t_dce c_dce Dce.run in
   let unreachable = pass t_unreachable c_unreachable Unreachable.run in
-  { ps_simplified = !simplified;
-    ps_gvn = !gvn;
-    ps_loads = !loads;
-    ps_stores = !stores;
-    ps_rce_pairs = !rce_pairs;
-    ps_dce = !dce;
+  { ps_simplified = simplified;
+    ps_gvn = gvn;
+    ps_loads = loads;
+    ps_stores = stores;
+    ps_rce_pairs = rce_pairs;
+    ps_dce = dce;
     ps_unreachable = unreachable }

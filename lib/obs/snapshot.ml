@@ -8,12 +8,11 @@
     the queue filling and draining, the epoch sequence advancing as
     deltas publish, the TC growing as lazy compiles land.
 
-    Off unless configured ([--snapshot-out FILE --snapshot-interval N] /
-    [SNAPSHOT_OUT] + [SNAPSHOT_INTERVAL]).  Emission is mutex-guarded:
-    any serving domain may cross an interval boundary.  In a parallel
-    burst the sample a given boundary sees is schedule-dependent (levels
-    are read live); under [Serving.measure]'s single-domain protocol the
-    stream is deterministic. *)
+    Off unless configured ([--snapshot-out FILE --snapshot-interval N]).
+    Emission is mutex-guarded: any serving domain may cross an interval
+    boundary.  In a parallel burst the sample a given boundary sees is
+    schedule-dependent (levels are read live); under [Serving.measure]'s
+    single-domain protocol the stream is deterministic. *)
 
 let sink : out_channel option ref = ref None
 let interval = ref 0

@@ -13,7 +13,7 @@
     Cost model: phases are charged from ledger deltas taken at request
     boundaries (no per-instruction work), plus O(1) counter bumps at the
     cold dispatch edges (epoch adoption, miss enqueue, lease wait), all
-    behind the {!enabled} flag — off by default ([--spans] / [SPANS=1]).
+    behind the {!enabled} flag — off by default ([--spans]).
 
     Phase semantics (cycles are attributions, not a disjoint partition:
     lease-wait compile cycles are JIT cycles too, and are documented as

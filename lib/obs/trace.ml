@@ -1,15 +1,14 @@
-(** Structured JIT event tracing (replaces the old all-or-nothing
-    [JIT_TRACE] boolean).
+(** Structured JIT event tracing.
 
     Events are JSONL records tagged with a category; each category can be
     enabled independently.  Two sinks run simultaneously: a bounded
     in-memory ring buffer (cheap enough to leave on under bench; drained
-    with {!drain}) and an optional JSONL file ([--trace-out FILE] /
-    [JIT_TRACE_OUT]).  Events carry a monotonic sequence number rather
-    than a timestamp, so traces are deterministic across runs.
+    with {!drain}) and an optional JSONL file ([--trace-out FILE]).
+    Events carry a monotonic sequence number rather than a timestamp, so
+    traces are deterministic across runs.
 
-    Category spec strings are comma-separated names; ["all"], ["1"] and
-    ["true"] enable everything (the legacy [JIT_TRACE=1] spelling). *)
+    Category spec strings are comma-separated names; ["all"] enables
+    everything. *)
 
 type category =
   | Translate        (** a translation was compiled and published *)
@@ -167,8 +166,8 @@ and flush_buffered (b : buffered) : unit =
 (** Parse a category spec into the category list it enables. *)
 let parse_spec (spec : string) : category list =
   match String.lowercase_ascii (String.trim spec) with
-  | "" | "0" | "none" | "off" | "false" -> []
-  | "all" | "1" | "true" -> all_categories
+  | "" | "0" -> []
+  | "all" -> all_categories
   | s ->
     String.split_on_char ',' s |> List.filter_map category_of_name
 

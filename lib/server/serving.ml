@@ -106,7 +106,7 @@ let output_hash (outputs : string array) : int =
    start so percentiles measure the burst, not warmup residue. *)
 let h_request_cycles = Obs.Vmstats.histogram "serving.request_cycles"
 
-(* One gauge-snapshot line every SNAPSHOT_INTERVAL completed requests. *)
+(* One gauge-snapshot line every [snapshot_interval] completed requests. *)
 let emit_snapshot (eng : Core.Engine.t) (done_ : int) : unit =
   if Obs.Snapshot.due done_ then begin
     let ep = Atomic.get eng.Core.Engine.published in
@@ -178,7 +178,7 @@ type worker_report = {
 }
 
 (** Serve [requests] and return per-request outputs/cycles plus the
-    aggregate hash.  [workers] defaults to the engine's resolved
+    aggregate hash.  [workers] defaults to the engine's
     [request_workers] option.  [trigger = (n, fn)] runs [fn] exactly once,
     on whichever domain completes the [n]th request — the hook the stress
     tests use to fire [Engine.retranslate_all] mid-burst. *)

@@ -3,30 +3,28 @@
 #   1. warning-clean build audit (threads/domain deps must be declared,
 #      so a fresh `dune build` prints nothing),
 #   2. tier-1 test suite,
-#   3. parallel retranslate-all smoke: JIT_WORKERS=4 exercises the env
-#      path, and `bench/main.exe json` sweeps --jit-workers {1,2,4} and
-#      exits nonzero when output hashes or code-cache byte totals
-#      diverge across worker counts,
-#   4. parallel request-serving smoke: REQUEST_WORKERS=4 exercises the
-#      env path through `hhvm_run report`'s multi-domain serving burst,
-#      and the combined JIT_WORKERS=4 REQUEST_WORKERS=4
-#      `bench/main.exe serving` sweep exits nonzero when per-request
+#   3. parallel request-serving smoke: `hhvm_run report
+#      --request-workers 4` runs a multi-domain serving burst, and
+#      `--request-workers 0` must be refused as a usage error (exit 2),
+#   4. the `bench/main.exe serving` sweep exits nonzero when per-request
 #      outputs diverge across any (jit x request) worker configuration,
-#   5. the bench JSON's `serving` section must carry the per-burst
-#      miss/fallback counters of the write-leased lazy translation path,
+#   5. `bench/main.exe json` sweeps --jit-workers {1,2,4} and exits
+#      nonzero when output hashes or code-cache byte totals diverge
+#      across worker counts; its `serving` section must carry the
+#      per-burst miss/fallback counters of the write-leased lazy
+#      translation path,
 #   6. jumpstart smoke: `hhvm_run warmup --dump` writes an image in one
 #      process, `hhvm_run serve --jumpstart` adopts it in a fresh one,
 #      and the jumpstarted run must serve with ZERO profiling
 #      translations and ZERO retranslate-alls while its output hash is
 #      bit-identical to the cold-started run's,
 #   7. tc-lifecycle smoke: `bench/main.exe tc_lifecycle` runs the
-#      mix-shift scenario at JIT_WORKERS=4 REQUEST_WORKERS=4 — warm on
-#      one endpoint mix, shift the mix, decay/evict/compact — and exits
-#      nonzero on hash instability across evict/compact, leftover hole
-#      bytes after compaction, or output divergence across (jit x
-#      request) worker configs; the CLI env path (`serve` with
-#      TC_EVICT_THRESHOLD/TC_COMPACT) must evict yet hash-match a plain
-#      cold serve,
+#      mix-shift scenario — warm on one endpoint mix, shift the mix,
+#      decay/evict/compact — and exits nonzero on hash instability
+#      across evict/compact, leftover hole bytes after compaction, or
+#      output divergence across (jit x request) worker configs; the CLI
+#      path (`serve --tc-evict-threshold 2 --tc-compact`) must evict yet
+#      hash-match a plain cold serve,
 #   8. serving-report + startup + tc_lifecycle validation:
 #      check_bench_json.sh asserts the serving_report section carries
 #      every percentile/phase/profile key, that the folded profile's
@@ -42,7 +40,10 @@
 #  10. clock gate: no direct wall-clock read (Unix.gettimeofday,
 #      Unix.time, Sys.time) in lib/, bin/ or bench/ — every clock read
 #      there goes through Obs.Clock.now, the monotonic clock.  test/ is
-#      exempt (a test may time its own wall budget).
+#      exempt (a test may time its own wall budget),
+#  11. environment gate: no Sys.getenv / Unix.getenv in lib/, bin/ or
+#      bench/ — the Jit_options record, filled from flags, is the
+#      engine's only configuration input.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,16 +58,19 @@ fi
 echo "== tier-1 tests =="
 dune runtest
 
-echo "== parallel retranslate smoke (4 workers) =="
-JIT_WORKERS=4 dune exec bench/main.exe -- json
-
 echo "== parallel serving smoke (4 request workers) =="
-REQUEST_WORKERS=4 dune exec bin/hhvm_run.exe -- report
+dune exec bin/hhvm_run.exe -- report --request-workers 4
+rc=0
+dune exec bin/hhvm_run.exe -- report --request-workers 0 2>/dev/null || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "ERROR: --request-workers 0 exited $rc, expected usage error 2"
+  exit 1
+fi
 
-echo "== combined compile x serving sweep (4x4) =="
-JIT_WORKERS=4 REQUEST_WORKERS=4 dune exec bench/main.exe -- serving
+echo "== combined compile x serving sweep =="
+dune exec bench/main.exe -- serving
 
-echo "== bench JSON serving counters =="
+echo "== parallel retranslate sweep + bench JSON serving counters =="
 dune exec bench/main.exe -- json
 for key in translation_miss interp_fallback; do
   if ! grep -q "\"$key\"" BENCH_hotpath.json; then
@@ -114,10 +118,10 @@ if [ "$deg_hash" != "$cold_hash" ]; then
 fi
 
 echo "== tc lifecycle smoke (mix shift, evict + compact, 4x4 parity) =="
-JIT_WORKERS=4 REQUEST_WORKERS=4 dune exec bench/main.exe -- tc_lifecycle
+dune exec bench/main.exe -- tc_lifecycle
 
-echo "== tc lifecycle env path (serve with eviction on) =="
-lc=$(TC_EVICT_THRESHOLD=2 TC_COMPACT=1 dune exec bin/hhvm_run.exe -- serve)
+echo "== tc lifecycle CLI path (serve with eviction on) =="
+lc=$(dune exec bin/hhvm_run.exe -- serve --tc-evict-threshold 2 --tc-compact)
 echo "$lc"
 lc_hash=$(echo "$lc" | sed -n 's/.*output hash \(-*[0-9]*\).*/\1/p')
 if [ -z "$lc_hash" ] || [ "$lc_hash" != "$cold_hash" ]; then
@@ -146,6 +150,13 @@ echo "== clock gate (Obs.Clock.now only in lib/ bin/ bench/) =="
 if grep -rnE --include='*.ml' --include='*.mli' \
      '\b(Unix\.gettimeofday|Unix\.time|Sys\.time)\b' lib bin bench; then
   echo "ERROR: direct clock read above; use Obs.Clock.now"
+  exit 1
+fi
+
+echo "== environment gate (no getenv in lib/ bin/ bench/) =="
+if grep -rnE --include='*.ml' --include='*.mli' \
+     '\b(Sys\.getenv|Sys\.getenv_opt|Unix\.getenv)\b' lib bin bench; then
+  echo "ERROR: environment read above; add a Jit_options field and a flag"
   exit 1
 fi
 

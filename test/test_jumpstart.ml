@@ -245,16 +245,22 @@ let test_stale_version () =
         path)
 
 let test_options_mismatch () =
-  with_temp (fun path ->
-      (* dump under different codegen options than the restore uses *)
-      let o = Core.Jit_options.default () in
-      o.Core.Jit_options.rce <- false;
-      (match Server.Startup.dump ~opts:o ~trigger_requests:trigger ~path ()
-       with
-       | Ok _ -> ()
-       | Error e -> Alcotest.failf "dump failed: %s" e);
-      check_falls_back ~what:"codegen options mismatch"
-        ~expect:"digest mismatch" path)
+  (* dump under different codegen options than the restore uses: each
+     knob the fingerprint covers must change the digest *)
+  List.iter
+    (fun (what, tweak) ->
+       with_temp (fun path ->
+           let o = Core.Jit_options.default () in
+           tweak o;
+           (match Server.Startup.dump ~opts:o ~trigger_requests:trigger ~path ()
+            with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "dump failed: %s" e);
+           check_falls_back ~what ~expect:"digest mismatch" path))
+    [ ("rce off", fun o -> o.Core.Jit_options.rce <- false);
+      ("pgo_layout off", fun o -> o.Core.Jit_options.pgo_layout <- false);
+      ("method_dispatch off",
+       fun o -> o.Core.Jit_options.method_dispatch <- false) ]
 
 let test_load_never_raises_on_junk () =
   (* a battery of malformed byte strings straight into the codec *)

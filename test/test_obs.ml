@@ -3,6 +3,7 @@
     - Vmstats primitives: log2 bucketing, counter/gauge/histogram/timer
       semantics, reset, JSON shape.
     - Trace: category-spec parsing, ring-buffer drain ordering.
+    - Install: takes its configuration from the options record alone.
     - Parity: the stats knob must never change program output, in any
       execution mode.
     - Smoke: after a Region perflab run the headline counters (mono-cache
@@ -123,8 +124,6 @@ let test_trace_spec () =
   Alcotest.(check (list string)) "all"
     [ "translate"; "retranslate-all"; "link"; "exit"; "guard"; "lease" ]
     (names (Obs.Trace.parse_spec "all"));
-  Alcotest.(check (list string)) "legacy JIT_TRACE=1"
-    (names Obs.Trace.all_categories) (names (Obs.Trace.parse_spec "1"));
   Alcotest.(check (list string)) "subset"
     [ "link"; "guard" ] (names (Obs.Trace.parse_spec "link,guard"));
   Alcotest.(check (list string)) "off" [] (names (Obs.Trace.parse_spec "0"));
@@ -209,6 +208,23 @@ let test_install_resets () =
     (counter "dispatch.mono_hit");
   Alcotest.(check (list (pair (pair int int) int))) "prof reset at install"
     [] (Vm.Prof.call_graph ())
+
+(* The options record is the engine's only configuration input: variables
+   that once overrode it must leave an install's configuration alone. *)
+let test_install_ignores_env () =
+  let vars = [ ("REQUEST_WORKERS", "4"); ("JIT_STATS", "0");
+               ("TC_EVICT_THRESHOLD", "2") ] in
+  List.iter (fun (k, v) -> Unix.putenv k v) vars;
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (k, _) -> Unix.putenv k "") vars)
+    (fun () ->
+       let eng = Core.Engine.install (Vm.Loader.load loop_src) in
+       let o = eng.Core.Engine.opts in
+       Alcotest.(check int) "request_workers" 1
+         o.Core.Jit_options.request_workers;
+       Alcotest.(check int) "tc_evict_threshold" 0
+         o.Core.Jit_options.tc_evict_threshold;
+       Alcotest.(check bool) "vmstats enabled" true !Obs.Vmstats.enabled)
 
 (* ---- retranslate-all link accounting ---- *)
 
@@ -302,6 +318,8 @@ let suite =
       Alcotest.test_case "stats knob output parity" `Quick test_stats_parity;
       Alcotest.test_case "vmstats counter smoke" `Quick test_vmstats_smoke;
       Alcotest.test_case "install resets telemetry" `Quick test_install_resets;
+      Alcotest.test_case "install reads no environment" `Quick
+        test_install_ignores_env;
       Alcotest.test_case "retranslate-all link accounting" `Quick
         test_retranslate_links;
       Alcotest.test_case "retranslate timers record seconds" `Quick
