@@ -2,13 +2,16 @@
     evaluation (§6) on the simulated substrate.
 
     Usage: main.exe
-      [fig8|fig9|fig10|fig11|table1|ablate|vmstats|serving|micro|json|all]
+      [fig8|fig9|fig10|fig11|table1|ablate|vmstats|serving|startup|
+       tc_lifecycle|json|all]
 
     Absolute numbers are not expected to match the paper (the substrate is
     a deterministic simulator, not Facebook production hardware); the
     *shape* — who wins, by roughly what factor, where the knees are — is
     what each section compares.  EXPERIMENTS.md records paper-vs-measured
-    for every row. *)
+    for every row.  Every figure here is simulated and deterministic except
+    retranslate-all pause times and the vmstats timers embedded by [json];
+    host time per layer is perfbench's to measure. *)
 
 let line () = print_endline (String.make 72 '-')
 
@@ -18,32 +21,41 @@ let hdr title paper =
   Printf.printf "paper: %s\n" paper;
   line ()
 
+(** Exit 1 with [msg] on stderr unless [cond] holds. *)
+let check (cond : bool) (msg : string) =
+  if not cond then begin
+    prerr_endline ("ERROR: " ^ msg);
+    exit 1
+  end
+
+let all_equal = function
+  | x :: rest -> List.for_all (fun y -> y = x) rest
+  | [] -> true
+
 (* ------------------------------------------------------------------ *)
 (* Figure 8: execution modes                                           *)
 (* ------------------------------------------------------------------ *)
 
+(** The full perflab in every execution mode, and whether all modes
+    produced identical output.  A divergence means the JIT changed
+    program behaviour. *)
+let run_modes () : (string * Server.Perflab.result) list * bool =
+  let results =
+    List.map
+      (fun (n, m) -> (n, Server.Perflab.run m))
+      [ ("Interp", Core.Jit_options.Interp);
+        ("JIT-Tracelet", Core.Jit_options.Tracelet);
+        ("JIT-Profile", Core.Jit_options.ProfileOnly);
+        ("JIT-Region", Core.Jit_options.Region) ]
+  in
+  (results,
+   all_equal (List.map (fun (_, r) -> r.Server.Perflab.r_output_hash) results))
+
 let fig8 () =
   hdr "Figure 8: performance of execution modes (relative to JIT-Region)"
     "Interp 12.8%  JIT-Profile 39.8%  JIT-Tracelet 82.2%  JIT-Region 100%";
-  let modes =
-    [ ("Interp", Core.Jit_options.Interp);
-      ("JIT-Tracelet", Core.Jit_options.Tracelet);
-      ("JIT-Profile", Core.Jit_options.ProfileOnly);
-      ("JIT-Region", Core.Jit_options.Region) ]
-  in
-  let results =
-    List.map (fun (n, m) -> (n, Server.Perflab.run m)) modes
-  in
-  (* differential sanity: all modes must produce identical output.  A
-     divergence means the JIT changed program behaviour — fail loudly. *)
-  let hashes = List.map (fun (_, r) -> r.Server.Perflab.r_output_hash) results in
-  (match hashes with
-   | h :: rest ->
-     if List.exists (fun h' -> h' <> h) rest then begin
-       prerr_endline "ERROR: output hash mismatch across execution modes";
-       exit 1
-     end
-   | [] -> ());
+  let results, hash_match = run_modes () in
+  check hash_match "output hash mismatch across execution modes";
   let region =
     (List.assoc "JIT-Region" results).Server.Perflab.r_weighted
   in
@@ -179,192 +191,8 @@ let table1 () =
     (Atomic.get Hhir_opt.Rce.stats.decref_nz)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks: wall-clock cost of the compiler itself    *)
-(* ------------------------------------------------------------------ *)
-
-(** Run the bechamel pipeline microbenchmarks; returns (name, ns/run). *)
-let micro_results () : (string * float) list =
-  let open Bechamel in
-  let open Toolkit in
-  let src = Workloads.Endpoints.source in
-  let parse_test =
-    Test.make ~name:"parse+emit workload unit"
-      (Staged.stage (fun () -> ignore (Hhbc.Emit.compile src)))
-  in
-  let hhbbc_test =
-    Test.make ~name:"hhbbc inference+asserts"
-      (Staged.stage
-         (let u = Hhbc.Emit.compile src in
-          fun () ->
-            Array.iter
-              (fun f -> ignore (Hhbbc.Infer.analyze u f))
-              u.Hhbc.Hunit.functions))
-  in
-  let tests =
-    Test.make_grouped ~name:"pipeline" [ parse_test; hhbbc_test ]
-  in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.3) () in
-    let raw = Benchmark.all cfg instances tests in
-    List.map (fun i -> Analyze.all ols i raw) instances
-  in
-  let results = benchmark () in
-  let compiler_micros =
-    List.concat_map
-      (fun tbl ->
-         Hashtbl.fold
-           (fun name result acc ->
-              match Bechamel.Analyze.OLS.estimates result with
-              | Some [ est ] -> (name, est) :: acc
-              | _ -> acc)
-           tbl [])
-      results
-  in
-  (* Interpreter micros gate CI at tight absolute thresholds
-     (scripts/check_bench_json.sh), and an OLS *mean* over samples is
-     too sensitive to host noise — frequency dips and neighbors move it
-     ±30% run to run.  Record the min over timed batches instead: the
-     standard noise filter for a deterministic workload, stable to a
-     few percent on the same hosts. *)
-  let interp_unit =
-    Vm.Loader.load
-      "function fib($n) { if ($n < 2) { return $n; } return fib($n-1) + fib($n-2); } \
-       function strarr($n) { \
-         $a = []; \
-         for ($i = 0; $i < $n; $i++) { $a[] = $i * 3; } \
-         $s = \"\"; $t = 0; \
-         foreach ($a as $k => $v) { $t = $t + $v - $k; if ($v % 7 == 0) { $s = $s . $v . \",\"; } } \
-         return strlen($s) + $t + count($a); \
-       }"
-  in
-  let min_of_batches ~(batches : int) ~(iters : int) (g : unit -> unit) : float =
-    g ();   (* warm: flatten, caches *)
-    let best = ref infinity in
-    for _ = 1 to batches do
-      let t0 = Obs.Clock.now () in
-      for _ = 1 to iters do g () done;
-      let dt = (Obs.Clock.now () -. t0) /. float_of_int iters in
-      if dt < !best then best := dt
-    done;
-    !best *. 1e9
-  in
-  let interp_call name arg () =
-    let r = Vm.Interp.call_by_name interp_unit name [ Runtime.Value.VInt arg ] in
-    Runtime.Heap.decref r
-  in
-  let interp_micros =
-    [ (* the dispatch-loop acceptance micro: recursion-heavy, call-dominated *)
-      ("pipeline/interp fib(12)",
-       min_of_batches ~batches:7 ~iters:300 (interp_call "fib" 12));
-      (* deeper recursion: long enough that per-batch noise washes out *)
-      ("pipeline/interp fib(20)",
-       min_of_batches ~batches:5 ~iters:6 (interp_call "fib" 20));
-      (* refcount-heavy counterpart: array append/iterate + string
-         building, stressing heap paths the fib micros never touch *)
-      ("pipeline/interp strarr(200)",
-       min_of_batches ~batches:7 ~iters:300 (interp_call "strarr" 200)) ]
-  in
-  compiler_micros @ interp_micros |> List.sort compare
-
-let micro () =
-  hdr "Microbenchmarks: wall-clock time of the JIT pipeline (bechamel)"
-    "(not in the paper; JIT-time engineering numbers)";
-  List.iter
-    (fun (name, est) -> Printf.printf "%-32s %12.0f ns/run\n" name est)
-    (micro_results ())
-
-(* ------------------------------------------------------------------ *)
 (* Machine-readable trajectory: BENCH_hotpath.json                     *)
 (* ------------------------------------------------------------------ *)
-
-(** Wall-clock + simulated cycles for the full perflab lifecycle of one
-    execution mode.  Wall time is best-of-[reps] (the perflab itself is
-    deterministic; only host noise varies). *)
-type mode_sample = {
-  ms_name : string;
-  ms_wall_s : float;
-  ms_cycles_per_req : float;
-  ms_code_bytes : int;
-  ms_output_hash : int;
-}
-
-let measure_mode ~(reps : int) (name : string) (mode : Core.Jit_options.mode)
-  : mode_sample =
-  let best = ref infinity in
-  let last = ref None in
-  for _ = 1 to reps do
-    let t0 = Obs.Clock.now () in
-    let r = Server.Perflab.run mode in
-    let dt = Obs.Clock.now () -. t0 in
-    if dt < !best then best := dt;
-    last := Some r
-  done;
-  let r = Option.get !last in
-  { ms_name = name;
-    ms_wall_s = !best;
-    ms_cycles_per_req = r.Server.Perflab.r_weighted;
-    ms_code_bytes = r.Server.Perflab.r_code_bytes;
-    ms_output_hash = r.Server.Perflab.r_output_hash }
-
-(** Pull the balanced-brace object following ["baseline":] out of an
-    existing trajectory file, so re-runs preserve the original baseline.
-    (Our emitter never puts braces inside strings, so a depth scan is
-    sufficient — no JSON parser dependency.) *)
-let extract_baseline (path : string) : string option =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    let needle = "\"baseline\":" in
-    let rec find i =
-      if i + String.length needle > len then None
-      else if String.sub s i (String.length needle) = needle then Some i
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> None
-    | Some i ->
-      (match String.index_from_opt s i '{' with
-       | None -> None
-       | Some start ->
-         let rec scan j depth =
-           if j >= len then None
-           else match s.[j] with
-             | '{' -> scan (j + 1) (depth + 1)
-             | '}' ->
-               if depth = 1 then Some (String.sub s start (j - start + 1))
-               else scan (j + 1) (depth - 1)
-             | _ -> scan (j + 1) depth
-         in
-         scan start 0)
-  end
-
-let sample_json (m : mode_sample) : string =
-  Printf.sprintf
-    "    \"%s\": { \"wall_s\": %.6f, \"cycles_per_req\": %.1f, \
-     \"code_bytes\": %d }"
-    m.ms_name m.ms_wall_s m.ms_cycles_per_req m.ms_code_bytes
-
-(** Best-of-[reps] wall clock for a tweaked Region perflab, plus the last
-    result (the perflab itself is deterministic). *)
-let measure_region ~(reps : int) ~(tweak : Core.Jit_options.t -> unit)
-  : float * Server.Perflab.result =
-  let best = ref infinity in
-  let last = ref None in
-  for _ = 1 to reps do
-    let t0 = Obs.Clock.now () in
-    let r = Server.Perflab.run ~tweak Core.Jit_options.Region in
-    let dt = Obs.Clock.now () -. t0 in
-    if dt < !best then best := dt;
-    last := Some r
-  done;
-  (!best, Option.get !last)
 
 (** Retranslate-all pause vs worker count: same Region perflab, only the
     compile-phase parallelism varies.  Pause is the engine's wall-clock
@@ -390,16 +218,40 @@ let measure_retranslate ~(reps : int) (workers : int)
   done;
   (!best, !best_compile, Option.get !last)
 
+(** Fresh engine brought to steady state, as a production server would be
+    by then: load + hhbbc, fifteen warmup rounds over every endpoint, then
+    retranslate-all.  [tweak] adjusts the options before install. *)
+let steady_engine ?(tweak = ignore) () : Hhbc.Hunit.t * Core.Engine.t =
+  let u = Vm.Loader.load Workloads.Endpoints.source in
+  ignore (Hhbbc.Assert_insert.run u);
+  ignore (Hhbbc.Bc_opt.run u);
+  let opts = Core.Jit_options.default () in
+  tweak opts;
+  let eng = Core.Engine.install ~opts u in
+  for round = 0 to 14 do
+    List.iter
+      (fun (ep : Workloads.Endpoints.endpoint) ->
+         let reps = max 1 (ep.Workloads.Endpoints.ep_weight / 10) in
+         for k = 0 to reps - 1 do
+           ignore (Server.Perflab.call_endpoint u ep (round * 3 + k))
+         done)
+      Workloads.Endpoints.endpoints
+  done;
+  ignore (Core.Engine.retranslate_all eng);
+  (u, eng)
+
+let workers ~jit ~request (o : Core.Jit_options.t) =
+  o.Core.Jit_options.jit_workers <- jit;
+  o.Core.Jit_options.request_workers <- request
+
 (* ------------------------------------------------------------------ *)
-(* Parallel request serving: throughput by request-worker count        *)
+(* Parallel request serving: cycles and determinism by worker config   *)
 (* ------------------------------------------------------------------ *)
 
 type serving_sample = {
   ss_jit_workers : int;
   ss_request_workers : int;
   ss_requests : int;
-  ss_wall_s : float;
-  ss_req_per_s : float;
   ss_weighted_cycles : float;       (* weighted avg cycles/request *)
   ss_output_hash : int;
   (* frozen-dispatch cost of the burst itself (counter deltas around the
@@ -409,121 +261,59 @@ type serving_sample = {
   ss_lazy : int;                    (* lazy_translate.compiled *)
 }
 
-(** Bring up a fresh engine (warmup + retranslate, as a production server
-    would have by steady state), then serve a deterministic request mix
-    across [request_workers] domains and measure throughput.  Wall clock
-    is best-of-[reps]; outputs and the hash are deterministic, so only the
-    last run's result is kept. *)
-let measure_serving ~(reps : int) ~(jit_workers : int)
-    ~(request_workers : int) : serving_sample =
-  let best = ref infinity in
-  let last = ref None in
-  for _ = 1 to reps do
-    let u = Vm.Loader.load Workloads.Endpoints.source in
-    ignore (Hhbbc.Assert_insert.run u);
-    ignore (Hhbbc.Bc_opt.run u);
-    let opts = Core.Jit_options.default () in
-    opts.Core.Jit_options.jit_workers <- jit_workers;
-    opts.Core.Jit_options.request_workers <- request_workers;
-    let eng = Core.Engine.install ~opts u in
-    for round = 0 to 14 do
-      List.iter
-        (fun (ep : Workloads.Endpoints.endpoint) ->
-           let reps = max 1 (ep.Workloads.Endpoints.ep_weight / 10) in
-           for k = 0 to reps - 1 do
-             ignore (Server.Perflab.call_endpoint u ep (round * 3 + k))
-           done)
-        Workloads.Endpoints.endpoints
-    done;
-    ignore (Core.Engine.retranslate_all eng);
-    let requests = Server.Serving.mix ~rounds:30 () in
-    (* per-burst counter deltas: warmup and retranslate also dispatch, so
-       the burst's own miss/fallback/lazy-compile counts are deltas around
-       the serving run (worker shards are merged at the join, so the
-       post-run read sees every worker's bumps) *)
-    let cv = Obs.Vmstats.counter_value in
-    let m0 = cv "serving.translation_miss"
-    and f0 = cv "serving.interp_fallback"
-    and l0 = cv "lazy_translate.compiled" in
-    let r = Server.Serving.run u eng requests in
-    let counts =
-      (cv "serving.translation_miss" - m0,
-       cv "serving.interp_fallback" - f0,
-       cv "lazy_translate.compiled" - l0)
-    in
-    if r.Server.Serving.sv_wall_s < !best then best := r.Server.Serving.sv_wall_s;
-    last := Some (requests, r, counts)
-  done;
-  let requests, r, (miss, fallback, lazy_compiled) = Option.get !last in
-  let n = Array.length requests in
-  (* weighted avg cycles/request: average per endpoint, weight by mix share *)
-  let acc = Hashtbl.create 16 in
-  Array.iteri
-    (fun i (rq : Server.Serving.request) ->
-       let name = rq.Server.Serving.rq_ep.Workloads.Endpoints.ep_name in
-       let c, k = Option.value (Hashtbl.find_opt acc name) ~default:(0, 0) in
-       Hashtbl.replace acc name (c + r.Server.Serving.sv_cycles.(i), k + 1))
-    requests;
-  let wsum, csum =
-    List.fold_left
-      (fun (ws, cs) (ep : Workloads.Endpoints.endpoint) ->
-         match Hashtbl.find_opt acc ep.ep_name with
-         | None -> (ws, cs)
-         | Some (c, k) ->
-           (ws + ep.ep_weight,
-            cs +. float_of_int ep.ep_weight
-                  *. (float_of_int c /. float_of_int k)))
-      (0, 0.0) Workloads.Endpoints.endpoints
+(** Serve a deterministic request mix across [request_workers] domains
+    from a steady-state engine. *)
+let measure_serving ~(jit_workers : int) ~(request_workers : int)
+  : serving_sample =
+  let u, eng =
+    steady_engine ~tweak:(workers ~jit:jit_workers ~request:request_workers) ()
   in
+  let requests = Server.Serving.mix ~rounds:30 () in
+  (* per-burst counter deltas: warmup and retranslate also dispatch, so
+     the burst's own miss/fallback/lazy-compile counts are deltas around
+     the serving run (worker shards are merged at the join, so the
+     post-run read sees every worker's bumps) *)
+  let cv = Obs.Vmstats.counter_value in
+  let m0 = cv "serving.translation_miss"
+  and f0 = cv "serving.interp_fallback"
+  and l0 = cv "lazy_translate.compiled" in
+  let r = Server.Serving.run u eng requests in
   { ss_jit_workers = jit_workers;
     ss_request_workers = request_workers;
-    ss_requests = n;
-    ss_wall_s = !best;
-    ss_req_per_s = float_of_int n /. !best;
-    ss_weighted_cycles = csum /. float_of_int wsum;
+    ss_requests = Array.length requests;
+    ss_weighted_cycles =
+      Server.Serving.weighted_cycles requests r.Server.Serving.sv_cycles;
     ss_output_hash = r.Server.Serving.sv_output_hash;
-    ss_miss = miss;
-    ss_fallback = fallback;
-    ss_lazy = lazy_compiled }
+    ss_miss = cv "serving.translation_miss" - m0;
+    ss_fallback = cv "serving.interp_fallback" - f0;
+    ss_lazy = cv "lazy_translate.compiled" - l0 }
 
 (** The serving sweep: request workers {1,2,4} at serial compile, plus the
     combined (jit-workers 4 x request-workers 4) configuration.  Output
     hashes must be identical across every configuration — a divergence
     means a data race changed program behaviour. *)
-let serving_sweep ~(reps : int) : serving_sample list * bool =
+let serving_sweep () : serving_sample list * bool =
   let configs = [ (1, 1); (1, 2); (1, 4); (4, 4) ] in
   let samples =
     List.map
-      (fun (jw, rw) ->
-         measure_serving ~reps ~jit_workers:jw ~request_workers:rw)
+      (fun (jw, rw) -> measure_serving ~jit_workers:jw ~request_workers:rw)
       configs
   in
-  let deterministic =
-    match samples with
-    | s :: rest ->
-      List.for_all (fun s' -> s'.ss_output_hash = s.ss_output_hash) rest
-    | [] -> true
-  in
-  (samples, deterministic)
+  (samples, all_equal (List.map (fun s -> s.ss_output_hash) samples))
 
 let print_serving (samples : serving_sample list) (deterministic : bool) =
-  Printf.printf "%4s %4s %10s %10s %12s %14s %6s %6s %6s\n"
-    "jw" "rw" "requests" "wall (s)" "req/s" "w.cycles/req"
-    "miss" "interp" "lazy";
+  Printf.printf "%4s %4s %10s %14s %6s %6s %6s\n"
+    "jw" "rw" "requests" "w.cycles/req" "miss" "interp" "lazy";
   List.iter
     (fun s ->
-       Printf.printf "%4d %4d %10d %10.4f %12.0f %14.0f %6d %6d %6d\n"
-         s.ss_jit_workers s.ss_request_workers s.ss_requests s.ss_wall_s
-         s.ss_req_per_s s.ss_weighted_cycles s.ss_miss s.ss_fallback
-         s.ss_lazy)
+       Printf.printf "%4d %4d %10d %14.0f %6d %6d %6d\n"
+         s.ss_jit_workers s.ss_request_workers s.ss_requests
+         s.ss_weighted_cycles s.ss_miss s.ss_fallback s.ss_lazy)
     samples;
   Printf.printf "output hash identical across configurations: %b\n"
     deterministic;
-  if not deterministic then begin
-    prerr_endline
-      "ERROR: output hash diverges across request-worker configurations";
-    exit 1
-  end
+  check deterministic
+    "output hash diverges across request-worker configurations"
 
 (* ------------------------------------------------------------------ *)
 (* Startup: cold vs jumpstarted requests-to-steady-state (§6.2)        *)
@@ -551,6 +341,25 @@ let startup_json (r : Server.Startup.startup_report) : string =
     r.Server.Startup.sr_delta_requests r.Server.Startup.sr_hash_match
     r.Server.Startup.sr_image_bytes
 
+(** The cold-vs-jumpstart invariants: identical outputs, a jumpstarted
+    run that neither profiled nor retranslated (its warmup was skipped),
+    a cold run that did retranslate, and steady state reached strictly
+    earlier from the image. *)
+let check_startup (r : Server.Startup.startup_report) =
+  let cold = r.Server.Startup.sr_cold and jump = r.Server.Startup.sr_jump in
+  check r.Server.Startup.sr_hash_match
+    "output hash diverges between cold and jumpstarted runs";
+  check
+    (jump.Server.Startup.su_prof_translations = 0
+     && jump.Server.Startup.su_retranslate_runs = 0)
+    "jumpstarted run still profiled or retranslated (warmup not skipped)";
+  check (cold.Server.Startup.su_retranslate_runs >= 1)
+    "cold run never retranslated";
+  check
+    (jump.Server.Startup.su_requests_to_steady
+     < cold.Server.Startup.su_requests_to_steady)
+    "jumpstarted run did not reach steady state before the cold run"
+
 let print_startup (r : Server.Startup.startup_report) =
   let row name (m : Server.Startup.startup_metrics) =
     Printf.printf
@@ -577,17 +386,7 @@ let print_startup (r : Server.Startup.startup_report) =
     r.Server.Startup.sr_hash_match;
   Printf.printf "jumpstart image: %d bytes\n"
     r.Server.Startup.sr_image_bytes;
-  if not r.Server.Startup.sr_hash_match then begin
-    prerr_endline "ERROR: output hash diverges between cold and jumpstarted runs";
-    exit 1
-  end;
-  if r.Server.Startup.sr_jump.Server.Startup.su_prof_translations <> 0
-  || r.Server.Startup.sr_jump.Server.Startup.su_retranslate_runs <> 0
-  then begin
-    prerr_endline
-      "ERROR: jumpstarted run still profiled or retranslated (warmup not skipped)";
-    exit 1
-  end
+  check_startup r
 
 let startup () =
   hdr "Startup: requests to steady state, cold vs jumpstarted (§6.2)"
@@ -595,36 +394,23 @@ let startup () =
      skip the warmup cliff";
   print_startup (Server.Startup.measure_startup ())
 
-(** The deterministic serving report behind the json target: fresh
-    engine, standard warmup and retranslate-all (steady state), then
-    [Serving.measure] over the mix with a second retranslate-all fired
-    at the halfway point — so the report covers epoch adoption and the
-    retranslate-pause phase too; the mix's unwarmed specializations give
-    the miss-enqueue and lease-wait phases traffic.  The measured burst
-    is single-domain and slot-ordered, so the emitted JSON is
-    byte-identical on any host and any worker configuration. *)
-let measure_serving_report () : string =
-  let u = Vm.Loader.load Workloads.Endpoints.source in
-  ignore (Hhbbc.Assert_insert.run u);
-  ignore (Hhbbc.Bc_opt.run u);
-  let eng = Core.Engine.install u in
-  for round = 0 to 14 do
-    List.iter
-      (fun (ep : Workloads.Endpoints.endpoint) ->
-         let reps = max 1 (ep.Workloads.Endpoints.ep_weight / 10) in
-         for k = 0 to reps - 1 do
-           ignore (Server.Perflab.call_endpoint u ep (round * 3 + k))
-         done)
-      Workloads.Endpoints.endpoints
-  done;
-  ignore (Core.Engine.retranslate_all eng);
+(** The deterministic serving report behind the json target: steady-state
+    engine, then [Serving.measure] over the mix with a second
+    retranslate-all fired at the halfway point — so the report covers
+    epoch adoption and the retranslate-pause phase too; the mix's
+    unwarmed specializations give the miss-enqueue and lease-wait phases
+    traffic.  The measured burst is single-domain and slot-ordered, so
+    the emitted JSON is byte-identical on any host and any worker
+    configuration.  Returns the JSON and the measurement behind it. *)
+let measure_serving_report () : string * Server.Serving.measured =
+  let u, eng = steady_engine () in
   let requests = Server.Serving.mix ~rounds:30 () in
   let trigger =
     (Array.length requests / 2,
      fun () -> ignore (Core.Engine.retranslate_all eng))
   in
   let m = Server.Serving.measure ~trigger u eng requests in
-  Server.Serving.report_json requests m
+  (Server.Serving.report_json requests m, m)
 
 (* ------------------------------------------------------------------ *)
 (* TC lifecycle: liveness-driven eviction + Main compaction under a    *)
@@ -661,41 +447,23 @@ type lifecycle_sample = {
     underneath it. *)
 let lifecycle_threshold = 3
 
-(** Fresh engine brought to steady state (warmup + retranslate-all) with
-    the lifecycle knobs set.  Same bring-up as [measure_serving]. *)
-let lifecycle_engine ~(budget : int option) ~(jit_workers : int)
-    ~(request_workers : int) ~(threshold : int) ~(compact : bool) () =
-  let u = Vm.Loader.load Workloads.Endpoints.source in
-  ignore (Hhbbc.Assert_insert.run u);
-  ignore (Hhbbc.Bc_opt.run u);
-  let opts = Core.Jit_options.default () in
-  opts.Core.Jit_options.jit_workers <- jit_workers;
-  opts.Core.Jit_options.request_workers <- request_workers;
-  opts.Core.Jit_options.code_budget <- budget;
-  opts.Core.Jit_options.tc_evict_threshold <- threshold;
-  opts.Core.Jit_options.tc_compact <- compact;
-  let eng = Core.Engine.install ~opts u in
-  for round = 0 to 14 do
-    List.iter
-      (fun (ep : Workloads.Endpoints.endpoint) ->
-         let reps = max 1 (ep.Workloads.Endpoints.ep_weight / 10) in
-         for k = 0 to reps - 1 do
-           ignore (Server.Perflab.call_endpoint u ep (round * 3 + k))
-         done)
-      Workloads.Endpoints.endpoints
-  done;
-  ignore (Core.Engine.retranslate_all eng);
-  (u, eng)
+(** Steady-state engine with the lifecycle knobs set. *)
+let lifecycle_engine ~(budget : int) ~(jit_workers : int)
+    ~(request_workers : int) ~(compact : bool) () =
+  steady_engine
+    ~tweak:(fun o ->
+        workers ~jit:jit_workers ~request:request_workers o;
+        o.Core.Jit_options.code_budget <- Some budget;
+        o.Core.Jit_options.tc_evict_threshold <- lifecycle_threshold;
+        o.Core.Jit_options.tc_compact <- compact)
+    ()
 
 (** Size the deployment cap off an uncapped bring-up: steady-state counted
     bytes plus a sliver of headroom.  Holes left by eviction count against
     this cap, so the budget only breathes again when compaction closes
     them — the pressure that makes the lifecycle earn its keep. *)
 let lifecycle_budget () : int =
-  let _, eng =
-    lifecycle_engine ~budget:None ~jit_workers:1 ~request_workers:1
-      ~threshold:0 ~compact:false ()
-  in
+  let _, eng = steady_engine () in
   Simcpu.Codecache.bytes_counted eng.Core.Engine.cache + 4096
 
 (** Interleave small shifted bursts with lifecycle ticks: traffic the
@@ -719,8 +487,8 @@ let lifecycle_decay_loop ?workers u eng =
     the i-cache / I-TLB deltas isolate code density. *)
 let measure_lifecycle ~(budget : int) () : lifecycle_sample =
   let u, eng =
-    lifecycle_engine ~budget:(Some budget) ~jit_workers:1 ~request_workers:1
-      ~threshold:lifecycle_threshold ~compact:false ()
+    lifecycle_engine ~budget ~jit_workers:1 ~request_workers:1
+      ~compact:false ()
   in
   (* measure on small I-TLB pages: with the hot section mapped on one
      simulated huge page the I-TLB cannot see layout at all, and the
@@ -804,8 +572,7 @@ let lifecycle_parity ~(budget : int) ()
     List.map
       (fun (jw, rw) ->
          let u, eng =
-           lifecycle_engine ~budget:(Some budget) ~jit_workers:jw
-             ~request_workers:rw ~threshold:lifecycle_threshold
+           lifecycle_engine ~budget ~jit_workers:jw ~request_workers:rw
              ~compact:true ()
          in
          let r_a =
@@ -821,13 +588,7 @@ let lifecycle_parity ~(budget : int) ()
           r_s.Server.Serving.sv_output_hash))
       configs
   in
-  let deterministic =
-    match rows with
-    | (_, _, ha, hs) :: rest ->
-      List.for_all (fun (_, _, ha', hs') -> ha' = ha && hs' = hs) rest
-    | [] -> true
-  in
-  (rows, deterministic)
+  (rows, all_equal (List.map (fun (_, _, ha, hs) -> (ha, hs)) rows))
 
 let lifecycle_json (s : lifecycle_sample)
     (rows : (int * int * int * int) list) (deterministic : bool) : string =
@@ -871,6 +632,9 @@ let lifecycle_sweep ()
   let rows, deterministic = lifecycle_parity ~budget () in
   (sample, rows, deterministic)
 
+(** Print the lifecycle scenario and enforce its invariants: eviction
+    fired, outputs stable across evict+compact, no holes left after
+    compaction, and parity across worker configurations. *)
 let print_lifecycle (s : lifecycle_sample)
     (rows : (int * int * int * int) list) (deterministic : bool) =
   Printf.printf
@@ -895,19 +659,11 @@ let print_lifecycle (s : lifecycle_sample)
          jw rw ha hs)
     rows;
   Printf.printf "  parity across worker configurations: %b\n" deterministic;
-  if not s.tl_hash_stable then begin
-    prerr_endline "ERROR: output hash changed across eviction or compaction";
-    exit 1
-  end;
-  if s.tl_holes_after <> 0 then begin
-    prerr_endline "ERROR: compaction left holes in the code cache";
-    exit 1
-  end;
-  if not deterministic then begin
-    prerr_endline
-      "ERROR: lifecycle output hash diverges across worker configurations";
-    exit 1
-  end
+  check (s.tl_evicted >= 1) "lifecycle scenario evicted nothing";
+  check s.tl_hash_stable "output hash changed across eviction or compaction";
+  check (s.tl_holes_after = 0) "compaction left holes in the code cache";
+  check deterministic
+    "lifecycle output hash diverges across worker configurations"
 
 let tc_lifecycle () =
   hdr "TC lifecycle: eviction + compaction under a shifting request mix"
@@ -917,141 +673,91 @@ let tc_lifecycle () =
   print_lifecycle sample rows deterministic
 
 let serving () =
-  hdr "Parallel request serving: throughput by request-worker count"
+  hdr "Parallel request serving: cycles and determinism by worker config"
     "(HHVM serves each request on its own thread over one shared \
-     translation cache, §2; single-core hosts show no wall-clock win)";
-  let samples, deterministic = serving_sweep ~reps:3 in
+     translation cache, §2)";
+  let samples, deterministic = serving_sweep () in
   print_serving samples deterministic
 
+(** Write BENCH_hotpath.json: simulated cycles, code bytes, hashes and
+    counters, plus the retranslate pause ratio (a parallel pause, which
+    single-domain perfbench cannot measure).  Exits 1 when any
+    cross-mode, cross-config, startup, lifecycle or profile-sum
+    invariant fails. *)
 let json () =
-  let reps = 3 in
-  (* the bechamel micros run first, on a small fresh heap: the sweeps
-     below leave tens of MB of major-heap state behind, and GC pauses
-     from that state inflate the OLS estimates of the sub-ms micros *)
-  let micro = micro_results () in
-  let modes =
-    [ ("Interp", Core.Jit_options.Interp);
-      ("JIT-Tracelet", Core.Jit_options.Tracelet);
-      ("JIT-Profile", Core.Jit_options.ProfileOnly);
-      ("JIT-Region", Core.Jit_options.Region) ]
-  in
-  let samples = List.map (fun (n, m) -> measure_mode ~reps n m) modes in
-  let hash_match =
-    match samples with
-    | s :: rest -> List.for_all (fun s' -> s'.ms_output_hash = s.ms_output_hash) rest
-    | [] -> true
-  in
-  (* vmstats snapshot (Region mode, stats on) and the probe-overhead
-     measurement: identical stats-off run, wall-clock delta.  The snapshot
-     is captured before the stats-off runs reset the registry. *)
-  let wall_on, r_on = measure_region ~reps ~tweak:(fun _ -> ()) in
-  Core.Engine.sync_vmstats r_on.Server.Perflab.r_engine;
+  let results, hash_match = run_modes () in
+  (* vmstats snapshot of one Region perflab (install resets the registry,
+     so the snapshot is exactly that run's counters) *)
+  let region = Server.Perflab.run Core.Jit_options.Region in
+  Core.Engine.sync_vmstats region.Server.Perflab.r_engine;
   let vmstats_json = Obs.Vmstats.to_json ~indent:"  " () in
-  let wall_off, _ =
-    measure_region ~reps
-      ~tweak:(fun o -> o.Core.Jit_options.stats <- false)
-  in
-  let overhead_pct = 100.0 *. (wall_on -. wall_off) /. wall_off in
   (* parallel retranslate-all: pause by worker count + determinism check *)
-  let worker_counts = [ 1; 2; 4 ] in
-  let retr = List.map (fun w -> (w, measure_retranslate ~reps w)) worker_counts in
-  let _, _, r1 = List.assoc 1 retr in
+  let retr =
+    List.map (fun w -> (w, measure_retranslate ~reps:3 w)) [ 1; 2; 4 ]
+  in
   let retr_deterministic =
-    List.for_all
-      (fun (_, (_, _, (r : Server.Perflab.result))) ->
-         r.Server.Perflab.r_output_hash = r1.Server.Perflab.r_output_hash
-         && r.Server.Perflab.r_code_bytes = r1.Server.Perflab.r_code_bytes)
-      retr
+    all_equal
+      (List.map
+         (fun (_, (_, _, (r : Server.Perflab.result))) ->
+            (r.Server.Perflab.r_output_hash, r.Server.Perflab.r_code_bytes))
+         retr)
   in
   let pause1, _, _ = List.assoc 1 retr in
   let pause4, _, _ = List.assoc 4 retr in
   let pause_speedup = if pause4 > 0.0 then pause1 /. pause4 else 0.0 in
-  (* parallel request serving: throughput sweep + determinism check *)
-  let serving_samples, serving_deterministic = serving_sweep ~reps in
-  (* the deterministic serving report (spans + percentiles + profile) *)
-  let serving_report = measure_serving_report () in
-  (* startup: cold vs jumpstarted requests-to-steady-state (§6.2) *)
+  let serving_samples, serving_deterministic = serving_sweep () in
+  let serving_report, measured = measure_serving_report () in
   let startup_rep = Server.Startup.measure_startup () in
-  (* tc lifecycle: eviction + compaction under a shifting mix *)
   let lc_sample, lc_rows, lc_deterministic = lifecycle_sweep () in
-  let buf = Buffer.create 1024 in
-  let current = Buffer.create 1024 in
-  Buffer.add_string current "{\n  \"modes\": {\n";
-  Buffer.add_string current
-    (String.concat ",\n" (List.map sample_json samples));
-  Buffer.add_string current "\n  },\n  \"micro_ns_per_run\": {\n";
-  Buffer.add_string current
-    (String.concat ",\n"
-       (List.map
-          (fun (n, est) -> Printf.sprintf "    \"%s\": %.1f" n est)
-          micro));
-  Buffer.add_string current "\n  },\n  \"retranslate\": {\n";
-  Buffer.add_string current
-    (String.concat ",\n"
-       (List.map
-          (fun (w, (pause, compile, (r : Server.Perflab.result))) ->
-             Printf.sprintf
-               "    \"workers_%d\": { \"pause_ms\": %.3f, \"compile_ms\": \
-                %.3f, \"code_bytes\": %d, \"output_hash\": %d }"
-               w pause compile r.Server.Perflab.r_code_bytes
-               r.Server.Perflab.r_output_hash)
-          retr));
-  Buffer.add_string current
-    (Printf.sprintf
-       ",\n    \"pause_speedup_4w\": %.2f,\n    \"deterministic\": %b\n"
-       pause_speedup retr_deterministic);
-  Buffer.add_string current "  },\n  \"serving\": {\n";
-  Buffer.add_string current
-    (String.concat ",\n"
-       (List.map
-          (fun s ->
-             Printf.sprintf
-               "    \"jw%d_rw%d\": { \"requests\": %d, \"wall_s\": %.6f, \
-                \"req_per_s\": %.1f, \"weighted_cycles_per_req\": %.1f, \
-                \"translation_miss\": %d, \"interp_fallback\": %d, \
-                \"lazy_compiled\": %d, \"output_hash\": %d }"
-               s.ss_jit_workers s.ss_request_workers s.ss_requests
-               s.ss_wall_s s.ss_req_per_s s.ss_weighted_cycles
-               s.ss_miss s.ss_fallback s.ss_lazy s.ss_output_hash)
-          serving_samples));
-  Buffer.add_string current
-    (Printf.sprintf ",\n    \"deterministic\": %b\n" serving_deterministic);
-  Buffer.add_string current "  },\n  \"tc_lifecycle\": ";
-  Buffer.add_string current (lifecycle_json lc_sample lc_rows lc_deterministic);
-  Buffer.add_string current ",\n  \"startup\": ";
-  Buffer.add_string current (startup_json startup_rep);
-  Buffer.add_string current ",\n  \"serving_report\": ";
-  Buffer.add_string current serving_report;
-  Buffer.add_string current ",\n  \"vmstats\": ";
-  Buffer.add_string current vmstats_json;
-  Buffer.add_string current
-    (Printf.sprintf ",\n  \"vmstats_overhead_pct\": %.2f,\n" overhead_pct);
-  Buffer.add_string current
-    (Printf.sprintf "  \"differential_hash_match\": %b\n  }" hash_match);
-  let current = Buffer.contents current in
+  let b = Buffer.create 8192 in
+  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let list f l = String.concat ",\n" (List.map f l) in
+  add "{\n  \"bench\": \"hotpath\",\n  \"schema\": 2,\n  \"modes\": {\n%s\n  },\n"
+    (list
+       (fun (name, (r : Server.Perflab.result)) ->
+          Printf.sprintf
+            "    \"%s\": { \"cycles_per_req\": %.1f, \"code_bytes\": %d }"
+            name r.Server.Perflab.r_weighted r.Server.Perflab.r_code_bytes)
+       results);
+  add "  \"retranslate\": {\n%s,\n"
+    (list
+       (fun (w, (pause, compile, (r : Server.Perflab.result))) ->
+          Printf.sprintf
+            "    \"workers_%d\": { \"pause_ms\": %.3f, \"compile_ms\": \
+             %.3f, \"code_bytes\": %d, \"output_hash\": %d }"
+            w pause compile r.Server.Perflab.r_code_bytes
+            r.Server.Perflab.r_output_hash)
+       retr);
+  add "    \"pause_speedup_4w\": %.2f,\n    \"deterministic\": %b\n  },\n"
+    pause_speedup retr_deterministic;
+  add "  \"serving\": {\n%s,\n    \"deterministic\": %b\n  },\n"
+    (list
+       (fun s ->
+          Printf.sprintf
+            "    \"jw%d_rw%d\": { \"requests\": %d, \
+             \"weighted_cycles_per_req\": %.1f, \"translation_miss\": %d, \
+             \"interp_fallback\": %d, \"lazy_compiled\": %d, \
+             \"output_hash\": %d }"
+            s.ss_jit_workers s.ss_request_workers s.ss_requests
+            s.ss_weighted_cycles s.ss_miss s.ss_fallback s.ss_lazy
+            s.ss_output_hash)
+       serving_samples)
+    serving_deterministic;
+  add "  \"tc_lifecycle\": %s,\n"
+    (lifecycle_json lc_sample lc_rows lc_deterministic);
+  add "  \"startup\": %s,\n" (startup_json startup_rep);
+  add "  \"serving_report\": %s,\n" serving_report;
+  add "  \"vmstats\": %s,\n" vmstats_json;
+  add "  \"differential_hash_match\": %b\n}\n" hash_match;
   let path = "BENCH_hotpath.json" in
-  let baseline =
-    match extract_baseline path with
-    | Some b -> b
-    | None -> current
-  in
-  Buffer.add_string buf "{\n\"bench\": \"hotpath\",\n\"schema\": 1,\n";
-  Buffer.add_string buf "\"baseline\": ";
-  Buffer.add_string buf baseline;
-  Buffer.add_string buf ",\n\"current\": ";
-  Buffer.add_string buf current;
-  Buffer.add_string buf "\n}\n";
   let oc = open_out path in
-  output_string oc (Buffer.contents buf);
+  Buffer.output_buffer oc b;
   close_out oc;
   Printf.printf "wrote %s\n" path;
   List.iter
-    (fun m ->
-       Printf.printf "%-14s wall %7.3f s   %10.0f cycles/req\n"
-         m.ms_name m.ms_wall_s m.ms_cycles_per_req)
-    samples;
-  Printf.printf "vmstats probe overhead: %+.2f%% wall (stats on vs off)\n"
-    overhead_pct;
+    (fun (name, (r : Server.Perflab.result)) ->
+       Printf.printf "%-14s %10.0f cycles/req\n" name r.Server.Perflab.r_weighted)
+    results;
   List.iter
     (fun (w, (pause, compile, _)) ->
        Printf.printf
@@ -1061,15 +767,7 @@ let json () =
   Printf.printf "retranslate pause speedup @ 4 workers: %.2fx\n" pause_speedup;
   Printf.printf "retranslate deterministic across worker counts: %b\n"
     retr_deterministic;
-  List.iter
-    (fun s ->
-       Printf.printf
-         "serving @ jw=%d rw=%d: %.0f req/s, %.0f weighted cycles/req\n"
-         s.ss_jit_workers s.ss_request_workers s.ss_req_per_s
-         s.ss_weighted_cycles)
-    serving_samples;
-  Printf.printf "serving deterministic across worker configurations: %b\n"
-    serving_deterministic;
+  print_serving serving_samples serving_deterministic;
   Printf.printf "serving report: %d bytes of JSON embedded\n"
     (String.length serving_report);
   Printf.printf
@@ -1080,28 +778,16 @@ let json () =
     startup_rep.Server.Startup.sr_delta_requests
     startup_rep.Server.Startup.sr_hash_match;
   Printf.printf "differential hash match: %b\n" hash_match;
-  (* print_lifecycle also enforces the lifecycle invariants (hash
-     stability, zero holes after compaction, worker-config parity) and
-     exits non-zero on violation *)
   print_lifecycle lc_sample lc_rows lc_deterministic;
-  if not startup_rep.Server.Startup.sr_hash_match then begin
-    prerr_endline "ERROR: output hash diverges between cold and jumpstarted runs";
-    exit 1
-  end;
-  if not hash_match then begin
-    prerr_endline "ERROR: output hash mismatch across execution modes";
-    exit 1
-  end;
-  if not retr_deterministic then begin
-    prerr_endline
-      "ERROR: output hash or code bytes diverge across --jit-workers counts";
-    exit 1
-  end;
-  if not serving_deterministic then begin
-    prerr_endline
-      "ERROR: output hash diverges across request-worker configurations";
-    exit 1
-  end
+  check_startup startup_rep;
+  check
+    (measured.Server.Serving.me_profile_total
+     = Array.fold_left ( + ) 0
+         measured.Server.Serving.me_result.Server.Serving.sv_cycles)
+    "serving report's folded profile does not sum to its serving cycles";
+  check hash_match "output hash mismatch across execution modes";
+  check retr_deterministic
+    "output hash or code bytes diverge across --jit-workers counts"
 
 (* ------------------------------------------------------------------ *)
 (* vmstats: key telemetry counters under each Fig. 10 knob             *)
@@ -1200,7 +886,6 @@ let () =
    | "fig10" -> fig10 ()
    | "fig11" -> fig11 ()
    | "table1" -> table1 ()
-   | "micro" -> micro ()
    | "ablate" -> ablate ()
    | "vmstats" -> vmstats ()
    | "serving" -> serving ()
@@ -1209,12 +894,12 @@ let () =
    | "json" -> json ()
    | "all" ->
      fig8 (); fig9 (); fig10 (); fig11 (); table1 (); ablate ();
-     vmstats (); serving (); startup (); tc_lifecycle (); micro ()
+     vmstats (); serving (); startup (); tc_lifecycle ()
    | other ->
      Printf.eprintf
        "unknown target %S \
         (use fig8|fig9|fig10|fig11|table1|ablate|vmstats|serving|startup|\
-         tc_lifecycle|micro|json|all)\n"
+         tc_lifecycle|json|all)\n"
        other;
      exit 1);
   line ()

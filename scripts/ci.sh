@@ -6,42 +6,40 @@
 #   3. parallel request-serving smoke: `hhvm_run report
 #      --request-workers 4` runs a multi-domain serving burst, and
 #      `--request-workers 0` must be refused as a usage error (exit 2),
-#   4. the `bench/main.exe serving` sweep exits nonzero when per-request
-#      outputs diverge across any (jit x request) worker configuration,
-#   5. `bench/main.exe json` sweeps --jit-workers {1,2,4} and exits
-#      nonzero when output hashes or code-cache byte totals diverge
-#      across worker counts; its `serving` section must carry the
-#      per-burst miss/fallback counters of the write-leased lazy
-#      translation path,
-#   6. jumpstart smoke: `hhvm_run warmup --dump` writes an image in one
+#   4. `bench/main.exe json` writes BENCH_hotpath.json and exits nonzero
+#      when an invariant it records fails: output hashes or code-cache
+#      byte totals diverging across execution modes or --jit-workers
+#      counts; per-request outputs diverging across (jit x request)
+#      serving configs; the serving report's folded profile not summing
+#      exactly to its serving cycles; the jumpstarted startup run
+#      profiling, retranslating, missing the cold run's output hash or
+#      not reaching steady state strictly earlier (or the cold run never
+#      retranslating); the tc-lifecycle scenario evicting nothing,
+#      changing outputs across evict/compact, leaving hole bytes after
+#      compaction or diverging across worker configs.  Its `serving`
+#      section must carry the per-burst miss/fallback counters of the
+#      write-leased lazy translation path,
+#   5. jumpstart smoke: `hhvm_run warmup --dump` writes an image in one
 #      process, `hhvm_run serve --jumpstart` adopts it in a fresh one,
 #      and the jumpstarted run must serve with ZERO profiling
 #      translations and ZERO retranslate-alls while its output hash is
 #      bit-identical to the cold-started run's,
-#   7. tc-lifecycle smoke: `bench/main.exe tc_lifecycle` runs the
-#      mix-shift scenario — warm on one endpoint mix, shift the mix,
-#      decay/evict/compact — and exits nonzero on hash instability
-#      across evict/compact, leftover hole bytes after compaction, or
-#      output divergence across (jit x request) worker configs; the CLI
-#      path (`serve --tc-evict-threshold 2 --tc-compact`) must evict yet
-#      hash-match a plain cold serve,
-#   8. serving-report + startup + tc_lifecycle validation:
-#      check_bench_json.sh asserts the serving_report section carries
-#      every percentile/phase/profile key, that the folded profile's
-#      cycle total equals the report's total serving cycles exactly,
-#      that the startup section shows the jumpstarted process reaching
-#      steady state strictly earlier than the cold one with a matching
-#      output hash, and that the tc_lifecycle section shows eviction
-#      fired, zero holes after compaction, and cross-config parity,
-#   9. repo benchmark smoke: each perfbench workload for one second at
-#      seed 1, which applies its per-request output check against the
-#      other engine, the seed-1 output digests and the cross-round
-#      determinism gate to the single-domain dispatch path,
-#  10. clock gate: no direct wall-clock read (Unix.gettimeofday,
+#   6. tc-lifecycle CLI path: `serve --tc-evict-threshold 2 --tc-compact`
+#      must evict, close every hole, and hash-match a plain cold serve,
+#   7. repo benchmark smoke: each perfbench workload at seed 1, which
+#      applies its per-request output check against the other engine,
+#      the seed-1 output digests and the cross-round determinism gate
+#      to the single-domain dispatch path,
+#   8. interpreter gates on that smoke's `interp_only` run (2 s, per-layer
+#      tracing on): the deterministic `vm.interp.minor_words_per_req`
+#      may not exceed its recorded value + 1 %, and the host-speed
+#      calibrated `vm.interp.ns_per_instr` may not exceed 1.25 x the
+#      median of the runs recorded beside its bound,
+#   9. clock gate: no direct wall-clock read (Unix.gettimeofday,
 #      Unix.time, Sys.time) in lib/, bin/ or bench/ — every clock read
 #      there goes through Obs.Clock.now, the monotonic clock.  test/ is
 #      exempt (a test may time its own wall budget),
-#  11. environment gate: no Sys.getenv / Unix.getenv in lib/, bin/ or
+#  10. environment gate: no Sys.getenv / Unix.getenv in lib/, bin/ or
 #      bench/ — the Jit_options record, filled from flags, is the
 #      engine's only configuration input.
 set -euo pipefail
@@ -67,10 +65,7 @@ if [ "$rc" -ne 2 ]; then
   exit 1
 fi
 
-echo "== combined compile x serving sweep =="
-dune exec bench/main.exe -- serving
-
-echo "== parallel retranslate sweep + bench JSON serving counters =="
+echo "== bench JSON (modes, retranslate, serving, startup, tc lifecycle) =="
 dune exec bench/main.exe -- json
 for key in translation_miss interp_fallback; do
   if ! grep -q "\"$key\"" BENCH_hotpath.json; then
@@ -117,9 +112,6 @@ if [ "$deg_hash" != "$cold_hash" ]; then
   exit 1
 fi
 
-echo "== tc lifecycle smoke (mix shift, evict + compact, 4x4 parity) =="
-dune exec bench/main.exe -- tc_lifecycle
-
 echo "== tc lifecycle CLI path (serve with eviction on) =="
 lc=$(dune exec bin/hhvm_run.exe -- serve --tc-evict-threshold 2 --tc-compact)
 echo "$lc"
@@ -137,14 +129,37 @@ if ! echo "$lc" | grep -q "0 hole bytes"; then
   exit 1
 fi
 
-echo "== serving report + startup + tc_lifecycle validation =="
-./scripts/check_bench_json.sh
-
-echo "== repo benchmark smoke (perfbench, seed 1, 1 s per workload) =="
-for w in steady_region interp_only cold_start mix_shift; do
+echo "== repo benchmark smoke (perfbench, seed 1) =="
+for w in steady_region cold_start mix_shift; do
   python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 \
     | tail -n 1
 done
+interp=$(python3 perfbench/run.py --workload interp_only --seed 1 \
+           --seconds 2 --trace 1 | tail -n 1)
+echo "$interp"
+
+echo "== interpreter gates (perfbench interp_only) =="
+python3 - "$interp" <<'PY'
+import json, sys
+metrics = json.loads(sys.argv[1])["metrics"]
+bounds = {
+    # deterministic: 3962.7302 words/req at seed 1, + 1 %
+    "vm.interp.minor_words_per_req": 3962.7302 * 1.01,
+    # host-speed calibrated: 1.25 x the median (37.44 ns) of ten runs on
+    # a 2-core x86-64 host, in ns: 33.38 33.53 34.75 35.22 36.25 38.64
+    # 39.50 39.85 44.65 44.74
+    "vm.interp.ns_per_instr": 1.25 * 37.44,
+}
+failed = False
+for name, bound in bounds.items():
+    value = metrics[name]["value"]
+    ok = value <= bound
+    failed = failed or not ok
+    print(f"{name}: {value:.4f} (bound {bound:.4f}) {'ok' if ok else 'FAIL'}")
+if failed:
+    print("ERROR: interpreter gate failed")
+    sys.exit(1)
+PY
 
 echo "== clock gate (Obs.Clock.now only in lib/ bin/ bench/) =="
 if grep -rnE --include='*.ml' --include='*.mli' \

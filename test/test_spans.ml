@@ -62,6 +62,13 @@ let field_int (line : string) (key : string) : int =
   done;
   int_of_string (String.sub line start (!stop - start))
 
+let contains (s : string) (sub : string) : bool =
+  let n = String.length sub in
+  let rec has i =
+    i + n <= String.length s && (String.sub s i n = sub || has (i + 1))
+  in
+  has 0
+
 (* ---- Vmstats: percentile estimation and max tracking ---- *)
 
 let fresh_hist () =
@@ -130,12 +137,17 @@ let test_report_bit_identical () =
   let runs = List.map (fun c -> (c, measured_report c)) configs in
   let _, (r1, _, _) = List.hd runs in
   Alcotest.(check bool) "report carries its schema tag" true
-    (String.length r1 > 0
-     && (let rec has i =
-           i + 16 <= String.length r1
-           && (String.sub r1 i 16 = "serving-report/1" || has (i + 1))
-         in
-         has 0));
+    (contains r1 "\"serving-report/1\"");
+  (* the report's key contract: percentiles, the six span phases, the
+     profile summary and the per-endpoint breakdown *)
+  List.iter
+    (fun key ->
+       Alcotest.(check bool) ("report has key " ^ key) true
+         (contains r1 (Printf.sprintf "\"%s\": " key)))
+    [ "weighted_cycles_per_req"; "request_cycles"; "p50"; "p95"; "p99";
+      "max"; "request_cycles_log2_estimate"; "phases"; "epoch_adopt";
+      "jit_dispatch"; "interp_fallback"; "miss_enqueue"; "lease_wait";
+      "retranslate_pause"; "profile"; "per_endpoint" ];
   List.iter
     (fun ((jw, rw), (r, _, _)) ->
        Alcotest.(check string)
@@ -184,11 +196,7 @@ let test_tc_print_sort_cycles () =
   Alcotest.(check string) "cycle ranking is byte-stable" r1 r2;
   let header = List.hd (String.split_on_char '\n' r1) in
   Alcotest.(check bool) "header names the ranking key" true
-    (let rec has i =
-       i + 9 <= String.length header
-       && (String.sub header i 9 = "by cycles" || has (i + 1))
-     in
-     has 0);
+    (contains header "by cycles");
   (* ranked cycles are non-increasing *)
   let ranked =
     List.filter (fun l -> String.length l > 0 && l.[0] = '#')
