@@ -10,8 +10,8 @@
     *shape* — who wins, by roughly what factor, where the knees are — is
     what each section compares.  EXPERIMENTS.md records paper-vs-measured
     for every row.  Every figure here is simulated and deterministic except
-    retranslate-all pause times and the vmstats timers embedded by [json];
-    host time per layer is perfbench's to measure. *)
+    retranslate-all pause times; host time per layer is perfbench's to
+    measure. *)
 
 let line () = print_endline (String.make 72 '-')
 
@@ -20,6 +20,13 @@ let hdr title paper =
   Printf.printf "%s\n" title;
   Printf.printf "paper: %s\n" paper;
   line ()
+
+let has_substring (s : string) (sub : string) : bool =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
 
 (** Exit 1 with [msg] on stderr unless [cond] holds. *)
 let check (cond : bool) (msg : string) =
@@ -690,7 +697,8 @@ let json () =
      so the snapshot is exactly that run's counters) *)
   let region = Server.Perflab.run Core.Jit_options.Region in
   Core.Engine.sync_vmstats region.Server.Perflab.r_engine;
-  let vmstats_json = Obs.Vmstats.to_json ~indent:"  " () in
+  (* counters, gauges and histograms only: timers hold host seconds *)
+  let vmstats_json = Obs.Vmstats.to_json ~indent:"  " ~with_timers:false () in
   (* parallel retranslate-all: pause by worker count + determinism check *)
   let retr =
     List.map (fun w -> (w, measure_retranslate ~reps:3 w)) [ 1; 2; 4 ]
@@ -785,6 +793,8 @@ let json () =
      = Array.fold_left ( + ) 0
          measured.Server.Serving.me_result.Server.Serving.sv_cycles)
     "serving report's folded profile does not sum to its serving cycles";
+  check (not (has_substring vmstats_json "\"timers\":"))
+    "embedded vmstats carries host-time timers";
   check hash_match "output hash mismatch across execution modes";
   check retr_deterministic
     "output hash or code bytes diverge across --jit-workers counts"
@@ -815,7 +825,6 @@ let vmstats () =
       ("PGO Layout", fun o -> o.pgo_layout <- false);
       ("All PGO", Core.Jit_options.disable_all_pgo);
       ("Huge Pages", fun o -> o.huge_pages <- false);
-      ("Disp. caches", fun o -> o.dispatch_caches <- false);
       ("Stats off", fun o -> o.stats <- false) ]
   in
   Printf.printf "%-14s" "disabled";

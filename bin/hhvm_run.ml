@@ -372,26 +372,26 @@ let serve opts te jumpstart requests trigger =
       "--jumpstart needs the region JIT (--mode %s cannot adopt an \
        optimized-code image); drop --jumpstart or use --mode region"
       (mode_name opts.Core.Jit_options.mode);
-  let eng, u, origin =
+  let eng, u, origin, jumpstarted =
     match jumpstart with
     | Some path ->
       let r = Server.Startup.restore ~opts ~path () in
+      let jumpstarted = r.Server.Startup.rs_jumpstarted in
       let origin =
-        if r.Server.Startup.rs_jumpstarted then
-          Printf.sprintf "jumpstarted from %s" path
+        if jumpstarted then Printf.sprintf "jumpstarted from %s" path
         else "cold start (jumpstart image rejected)"
       in
-      (r.Server.Startup.rs_engine, r.Server.Startup.rs_unit, origin)
+      (r.Server.Startup.rs_engine, r.Server.Startup.rs_unit, origin,
+       jumpstarted)
     | None ->
       let u = Server.Startup.load_unit () in
-      (Core.Engine.install ~opts u, u, "cold start")
+      (Core.Engine.install ~opts u, u, "cold start", false)
   in
   (* a jumpstarted engine is already at steady state: never retranslate.
      A cold engine (including a rejected image) runs the normal warmup
      cliff with retranslate-all at the profiling trigger. *)
   let retranslate_at =
-    if String.length origin >= 4 && String.sub origin 0 4 = "jump" then None
-    else Some (min trigger requests)
+    if jumpstarted then None else Some (min trigger requests)
   in
   let _, outputs, _, _, _ =
     Server.Startup.serve_measured u eng ~total:requests ~retranslate_at

@@ -139,8 +139,9 @@ let c_retranslate = Obs.Vmstats.counter "retranslate.runs"
    the compile burst runs inline on the main domain, so the stall covers
    sort + invalidation + compile + publish (the historical serial
    behavior); with [jit_workers >= 2] the burst runs on background
-   domains while the main thread would keep serving (cf. server/startup),
-   so the stall is only the serial prologue + publish.  The full burst
+   domains and the main domain only joins (a server would keep serving
+   there, cf. server/startup), so the stall is only the serial prologue +
+   publish.  The full burst
    wall time is always recorded separately as [retranslate.compile].
    Both timers accumulate seconds. *)
 let t_pause = Obs.Vmstats.timer "retranslate.pause"
@@ -216,28 +217,23 @@ let mark_no_compile (eng : t) (fid : int) (pc : int) : unit =
 let live_compile_cycles n = 400 + 90 * n
 let prof_compile_cycles n = 300 + 60 * n
 
-let weights_for ?(snapshot : Region.Transcfg.snapshot option)
-    (lowered : Hhir.Lower.lowered) : (int, int) Hashtbl.t =
-  let block_of, weight_of =
-    match snapshot with
-    | Some sn -> Region.Transcfg.snap_block sn, Region.Transcfg.snap_weight sn
-    | None -> Region.Transcfg.block, Region.Transcfg.block_weight
-  in
+let weights_for (lowered : Hhir.Lower.lowered) : (int, int) Hashtbl.t =
   let w = Hashtbl.create 16 in
   List.iter
     (fun (rbid, irid) ->
-       Hashtbl.replace w irid (max 1 (weight_of (block_of rbid))))
+       Hashtbl.replace w irid
+         (max 1 (Region.Transcfg.block_weight (Region.Transcfg.block rbid))))
     lowered.lw_blockmap;
   w
 
 (** The compile phase of a translation: region -> HHIR -> passes -> vasm
     -> register allocation -> prepared (section-relative) code.  Touches
-    no engine or code-cache state, so retranslate-all runs it on worker
-    domains; [snapshot] supplies block weights there (the live profile
-    counters are main-domain state).  Returns the prepared translation
-    and the region's block count (trace metadata for publish). *)
-let prepare_region (eng : t) ~(snapshot : Region.Transcfg.snapshot option)
-    ~(fid : int) ~(region : Rd.t) ~(kind : Translation.kind)
+    no engine or code-cache state and only reads the profile, so
+    retranslate-all runs it on worker domains.  Returns the prepared
+    translation and the region's block count (trace metadata for
+    publish). *)
+let prepare_region (eng : t) ~(fid : int) ~(region : Rd.t)
+    ~(kind : Translation.kind)
   : Translation.prepared * int =
   let mode = match kind with
     | Translation.KLive -> Hhir.Lower.Live
@@ -252,7 +248,7 @@ let prepare_region (eng : t) ~(snapshot : Region.Transcfg.snapshot option)
   ignore (Hhir_opt.Pipeline.run ~mode ~opts:lopts lowered.lw_ir);
   Hhir.Verify.verify lowered.lw_ir;
   let weights =
-    if kind = Translation.KOptimized then weights_for ?snapshot lowered
+    if kind = Translation.KOptimized then weights_for lowered
     else begin
       (* no profile: entry blocks weight 1; stubs 0 *)
       let w = Hashtbl.create 8 in
@@ -343,7 +339,7 @@ let compile_at (eng : t) (chains : Translation.t array array array)
       in
       match
         finish_translation eng
-          (prepare_region eng ~snapshot:None ~fid ~region ~kind)
+          (prepare_region eng ~fid ~region ~kind)
       with
       | Some tr ->
         (match kind with
@@ -414,7 +410,7 @@ let entry_matches (frame : Vm.Interp.frame) (en : Translation.entry) : bool =
     retranslation chain.  The table outlives same-generation adoptions,
     eviction included, so a cached entry whose translation was evicted
     never hits. *)
-let select_entry (eng : t) (ctx : serve_ctx) (frame : Vm.Interp.frame)
+let select_entry (ctx : serve_ctx) (frame : Vm.Interp.frame)
     (pc : int) : (Translation.t * Translation.entry) option =
   let fid = frame.func.fn_id in
   let chain = chain_at ctx.sx_epoch.ep_chains fid pc in
@@ -422,21 +418,16 @@ let select_entry (eng : t) (ctx : serve_ctx) (frame : Vm.Interp.frame)
   if len = 0 then None
   else begin
     let mono = ctx.sx_mono in
-    let cached =
-      eng.opts.dispatch_caches && fid < Array.length mono
-      && pc < Array.length mono.(fid)
-    in
+    let cached = fid < Array.length mono && pc < Array.length mono.(fid) in
     let mono_hit =
-      if eng.opts.dispatch_caches then
-        match (if cached then mono.(fid).(pc) else None) with
-        | Some (tr, en) as hit
-          when (not tr.Translation.tr_evicted) && entry_matches frame en ->
-          Obs.Vmstats.bump c_mono_hit;
-          hit
-        | _ ->
-          Obs.Vmstats.bump c_mono_miss;
-          None
-      else None
+      match (if cached then mono.(fid).(pc) else None) with
+      | Some (tr, en) as hit
+        when (not tr.Translation.tr_evicted) && entry_matches frame en ->
+        Obs.Vmstats.bump c_mono_hit;
+        hit
+      | _ ->
+        Obs.Vmstats.bump c_mono_miss;
+        None
     in
     match mono_hit with
     | Some _ -> mono_hit
@@ -642,7 +633,6 @@ let translate_miss (eng : t) (ctx : serve_ctx) (frame : Vm.Interp.frame)
       Array.init (max frame.sp 0)
         (fun d -> Hhbc.Rtype.of_value frame.stack.(frame.sp - 1 - d))
     in
-    let via = if eng.opts.dispatch_caches then via else None in
     let queued = Translate_queue.enqueue ~fid ~pc ~locals ~stack ~via in
     if Obs.Span.on () then Obs.Span.count Obs.Span.Enqueue;
     if queued && Translate_queue.try_acquire () then
@@ -659,7 +649,7 @@ let translate_miss (eng : t) (ctx : serve_ctx) (frame : Vm.Interp.frame)
         (fun () ->
           drain_translation_queue eng;
           ignore (catch_up eng ctx);
-          let found = select_entry eng ctx frame pc in
+          let found = select_entry ctx frame pc in
           if found <> None then Obs.Vmstats.bump c_lazy_entered;
           (match found, via with
            | Some target, Some v -> bind_exit eng ctx v target
@@ -721,7 +711,7 @@ let try_enter (eng : t) (ctx : serve_ctx) (frame : Vm.Interp.frame)
     let entry =
       let linked =
         match via with
-        | Some (src, eid) when eng.opts.dispatch_caches ->
+        | Some (src, eid) ->
           let lk = src.Translation.tr_links.(eid) in
           if lk.Translation.lk_gen = ctx.sx_epoch.ep_gen then
             (match lk.Translation.lk_target with
@@ -735,16 +725,15 @@ let try_enter (eng : t) (ctx : serve_ctx) (frame : Vm.Interp.frame)
               Obs.Vmstats.bump c_link_stale;
             None
           end
-        | _ -> None
+        | None -> None
       in
       match linked with
       | Some _ -> linked
       | None ->
-        match select_entry eng ctx frame pc with
+        match select_entry ctx frame pc with
         | Some target as found ->
           (match via with
-           | Some v
-             when eng.opts.dispatch_caches && Translate_queue.try_acquire () ->
+           | Some v when Translate_queue.try_acquire () ->
              (match bind_exit eng ctx v target with
               | () -> Translate_queue.release ()
               | exception e -> Translate_queue.release (); raise e)
@@ -933,10 +922,10 @@ let place_optimized (eng : t)
 
     The compile phase (region formation -> HHIR -> vasm -> prepared code)
     is read-only with respect to engine state and fans out across
-    [opts.jit_workers] domains over a frozen TransCFG snapshot; the publish
-    phase then places every prepared translation serially in C3 function
-    order, so code-cache offsets, translation ids, inline-cache ids, links
-    and trace output are identical for any worker count. *)
+    [opts.jit_workers] domains; the publish phase then places every
+    prepared translation serially in C3 function order, so code-cache
+    offsets, translation ids, inline-cache ids, links and trace output are
+    identical for any worker count. *)
 let retranslate_all_locked (eng : t) : int =
   let t0 = Obs.Clock.now () in
   Obs.Vmstats.bump c_retranslate;
@@ -978,25 +967,28 @@ let retranslate_all_locked (eng : t) : int =
                 Obs.Vmstats.bump c_link_invalidated)
            tr.Translation.tr_links)
       (Atomic.get eng.published).ep_chains;
-  (* compile phase: one task per function, in C3 order, over a frozen
-     TransCFG snapshot.  Tasks only read the snapshot and the unit and
-     write task-local buffers, so any interleaving yields the same
-     prepared code; the task array's order fixes the publish order. *)
-  let snap = Region.Transcfg.snapshot funcs in
-  let weight = Region.Transcfg.snap_weight snap in
+  (* compile phase: one task per function, in C3 order.  Tasks read the
+     unit, the TransCFG registry and the canonical profile, and write
+     task-local buffers.  Only the write-lease holder (or a domain running
+     alone) writes the registry and [Vm.Prof.main_ctx]; serving workers
+     write private profile contexts that [merge_pending] folds in under
+     the lease, and this function holds the lease for its whole run.  So
+     the profile cannot change under the tasks, any interleaving yields
+     the same prepared code, and the task array's order fixes the
+     publish order. *)
   let tasks =
     Array.of_list
       (List.map
          (fun fid () ->
-            Region.Form.form_snapshot_regions
-              ~max_instrs:eng.opts.max_region_instrs snap fid
+            Region.Form.form_func_regions
+              ~max_instrs:eng.opts.max_region_instrs fid
             |> List.map
               (fun region ->
                  let region =
-                   if eng.opts.guard_relax then Region.Relax.run ~weight region
+                   if eng.opts.guard_relax then Region.Relax.run region
                    else region
                  in
-                 prepare_region eng ~snapshot:(Some snap) ~fid ~region
+                 prepare_region eng ~fid ~region
                    ~kind:Translation.KOptimized))
          order)
   in
@@ -1390,9 +1382,8 @@ let install ?(opts : Jit_options.t option) (u : Hhbc.Hunit.t) : t =
   Vm.Interp.reset_instr_count ();
   Region.Relax.reset_stats ();
   Hhir_opt.Rce.reset_stats ();
-  (* the interpreter's per-call-site dispatch caches follow the engine's
-     cache policy; stale entries from a previous engine die here *)
-  Vm.Interp.dispatch_caches_enabled := opts.dispatch_caches;
+  (* stale interpreter call-site dispatch caches from a previous engine
+     die here *)
   Vm.Interp.reset_meth_site_caches ();
   (* lower every function to its flat threaded-dispatch form now (install
      runs after any hhbbc rewrites): serving workers never contend on the

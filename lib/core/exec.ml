@@ -385,6 +385,3 @@ let run_with_state (m : machine) (tr : Translation.t) ~(entry : int)
     match o with Reg r -> regs.(r) | Slot s -> slots.(s)
   in
   (Option.get !result, reader)
-
-let run m tr ~entry ~frame ~entry_sp : outcome =
-  fst (run_with_state m tr ~entry ~frame ~entry_sp)

@@ -28,12 +28,6 @@ type t = {
      sorting (§5.1.1) *)
   mutable pgo_layout : bool;
   mutable huge_pages : bool;          (* §5.1.2 *)
-  (* hot-path dispatch caches: monomorphic last-hit entry caches,
-     translation linking (bind-jump smashing), and the interpreter's
-     per-call-site method-dispatch caches.  These are pure wall-clock
-     engineering — they never change program output — but can be switched
-     off to verify exactly that (see test_jit's cache-parity test). *)
-  mutable dispatch_caches : bool;
   (* observability (lib/obs): the vmstats probe knob and the trace-event
      configuration.  [stats] gates every Vmstats probe in the engine,
      interpreter, region former, HHIR pipeline and SimCPU (default on; the
@@ -99,7 +93,6 @@ let default () : t = {
   inline_cache = true;
   pgo_layout = true;
   huge_pages = true;
-  dispatch_caches = true;
   stats = true;
   trace = None;
   trace_out = None;

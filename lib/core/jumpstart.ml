@@ -54,8 +54,8 @@ let format_version = 2
 
 (** The codegen-relevant option fingerprint folded into the unit digest:
     two processes produce the same optimized image iff these agree.
-    Execution-time knobs (worker counts, huge pages, dispatch caches,
-    stats/trace/spans, lazy translation, dispatch loop) are deliberately
+    Execution-time knobs (worker counts, huge pages, stats/trace/spans,
+    lazy translation, dispatch loop) are deliberately
     excluded — an image dumped by a 1x1 process restores into a 4x4 one. *)
 let options_fingerprint (o : Jit_options.t) : string =
   Printf.sprintf "m%d|i%b|r%b|g%b|d%b|c%b|p%b|b%s|ch%d|nr%d|ri%d|ii%d"

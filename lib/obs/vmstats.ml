@@ -358,8 +358,9 @@ let json_escape (s : string) : string =
 (** The counter registry as a JSON object (stable key order).  The shape is
     {v {"counters":{..},"gauges":{..},"histograms":{..},"timers":{..}} v};
     histogram buckets are emitted sparsely as ["log2_buckets": {"<i>": n}]
-    where bucket [i] covers values in [2^(i-1), 2^i). *)
-let to_json ?(indent = "") () : string =
+    where bucket [i] covers values in [2^(i-1), 2^i).  [~with_timers:false]
+    leaves out the timers section, the only one holding host time. *)
+let to_json ?(indent = "") ?(with_timers = true) () : string =
   let buf = Buffer.create 4096 in
   let pad = indent and pad2 = indent ^ "  " and pad3 = indent ^ "    " in
   let obj name emit_entries last =
@@ -409,16 +410,18 @@ let to_json ?(indent = "") () : string =
                   \"log2_buckets\": {%s} }"
                  pad3 (json_escape n) h.h_count h.h_sum h.h_max
                  (String.concat ", " (List.rev !bl)))))
-    false;
-  obj "timers"
-    (fun () ->
-       entries (sorted_names timers)
-         (fun n ->
-            let t = timer n in
-            Buffer.add_string buf
-              (Printf.sprintf "%s\"%s\": { \"seconds\": %.6f, \"calls\": %d }"
-                 pad3 (json_escape n) t.t_seconds t.t_calls)))
-    true;
+    (not with_timers);
+  if with_timers then
+    obj "timers"
+      (fun () ->
+         entries (sorted_names timers)
+           (fun n ->
+              let t = timer n in
+              Buffer.add_string buf
+                (Printf.sprintf
+                   "%s\"%s\": { \"seconds\": %.6f, \"calls\": %d }"
+                   pad3 (json_escape n) t.t_seconds t.t_calls)))
+      true;
   Buffer.add_string buf (Printf.sprintf "%s}" pad);
   Buffer.contents buf
 

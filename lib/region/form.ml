@@ -21,9 +21,12 @@ let c_arcs_covered = Obs.Vmstats.counter "region.arcs_covered"
 let c_arcs_total = Obs.Vmstats.counter "region.arcs_total"
 let h_instrs = Obs.Vmstats.histogram "region.instrs"
 
+(* a block's profile count, read from the canonical profile *)
+let weight = Transcfg.block_weight
+
 (** Chain retranslation siblings: group the region's blocks by start pc,
     sort each group by descending weight, and link them. *)
-let chain_retranslations ~(weight : block -> int) (blocks : block list) :
+let chain_retranslations (blocks : block list) :
   block list * (int * int) list =
   let groups = Hashtbl.create 8 in
   List.iter
@@ -47,12 +50,12 @@ let chain_retranslations ~(weight : block -> int) (blocks : block list) :
     groups;
   (blocks, !chain_next)
 
-(** Form all regions over an already-built CFG, resolving blocks and
-    weights through the supplied accessors.  The live path passes the
-    registry's accessors; parallel retranslate-all passes a frozen
-    snapshot's, so workers never touch shared mutable tables. *)
-let form_over ~(max_instrs : int) ~(cfg : Transcfg.t)
-    ~(block : int -> block) ~(weight : block -> int) : Rdesc.t list =
+(** Form all regions covering a function's profiled blocks, reading the
+    live TransCFG registry and profile counters (form.mli states why JIT
+    worker domains may do so). *)
+let form_func_regions ?(max_instrs = default_max_region_instrs)
+    (func_id : int) : Rdesc.t list =
+  let cfg = Transcfg.build func_id in
   if cfg.nodes = [] then []
   else begin
     let covered : (int, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -93,13 +96,13 @@ let form_over ~(max_instrs : int) ~(cfg : Transcfg.t)
               Transcfg.succs cfg b.b_id
               |> List.sort (fun (_, w1) (_, w2) -> compare w2 w1)
             in
-            List.iter (fun (d, _) -> dfs (block d)) ss
+            List.iter (fun (d, _) -> dfs (Transcfg.block d)) ss
           end
         in
         (* the start block is always taken, even when it alone exceeds the
            budget: every block must end up covered or formation would spin *)
         add start;
-        List.iter (fun (d, _) -> dfs (block d))
+        List.iter (fun (d, _) -> dfs (Transcfg.block d))
           (Transcfg.succs cfg start.b_id
            |> List.sort (fun (_, w1) (_, w2) -> compare w2 w1));
         (* also pull in retranslation siblings of selected blocks so chains
@@ -129,7 +132,7 @@ let form_over ~(max_instrs : int) ~(cfg : Transcfg.t)
                else None)
             cfg.t_arcs
         in
-        let blocks, chains = chain_retranslations ~weight blocks in
+        let blocks, chains = chain_retranslations blocks in
         Obs.Vmstats.bump c_formed;
         Obs.Vmstats.add c_blocks (List.length blocks);
         Obs.Vmstats.add c_arcs_covered (List.length arcs);
@@ -143,18 +146,6 @@ let form_over ~(max_instrs : int) ~(cfg : Transcfg.t)
     Obs.Vmstats.add c_arcs_total (List.length cfg.t_arcs);
     List.rev !regions
   end
-
-(** Form all regions covering a function's profiled blocks (live registry). *)
-let form_func_regions ?(max_instrs = default_max_region_instrs)
-    (func_id : int) : Rdesc.t list =
-  form_over ~max_instrs ~cfg:(Transcfg.build func_id) ~block:Transcfg.block
-    ~weight:Transcfg.block_weight
-
-(** Same, over a frozen snapshot — safe to call from JIT worker domains. *)
-let form_snapshot_regions ?(max_instrs = default_max_region_instrs)
-    (snap : Transcfg.snapshot) (func_id : int) : Rdesc.t list =
-  form_over ~max_instrs ~cfg:(Transcfg.snap_cfg snap func_id)
-    ~block:(Transcfg.snap_block snap) ~weight:(Transcfg.snap_weight snap)
 
 (** Single-block region wrapper for live / profiling translations. *)
 let single (b : block) : Rdesc.t =

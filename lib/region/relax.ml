@@ -99,12 +99,12 @@ let relax_guard ~(dist : (R.t * int) list) (g : guard) : [ `Keep | `Drop ] =
 (** Observed distribution for a location across retranslation siblings:
     each sibling guards the type it was specialized for, weighted by its
     profile count. *)
-let distribution ?(weight = Transcfg.block_weight) (siblings : block list)
+let distribution (siblings : block list)
     (l : loc) : (R.t * int) list =
   List.filter_map
     (fun b ->
        List.find_opt (fun g -> g.g_loc = l) b.b_preconds
-       |> Option.map (fun g -> (g.g_type, max 1 (weight b))))
+       |> Option.map (fun g -> (g.g_type, max 1 (Transcfg.block_weight b))))
     siblings
 
 let guards_equal (a : guard list) (b : guard list) =
@@ -116,7 +116,7 @@ let guards_equal (a : guard list) (b : guard list) =
 
 (** Relax a region in place; returns the updated region (blocks whose
     preconditions became duplicates of a heavier chain sibling removed). *)
-let run ?(weight = Transcfg.block_weight) (r : Rdesc.t) : Rdesc.t =
+let run (r : Rdesc.t) : Rdesc.t =
   (* group retranslation siblings by (func, start) *)
   let groups = Hashtbl.create 8 in
   List.iter
@@ -139,8 +139,7 @@ let run ?(weight = Transcfg.block_weight) (r : Rdesc.t) : Rdesc.t =
              (fun (g : guard) ->
                 let g' = { g_loc = g.g_loc; g_type = g.g_type;
                            g_constraint = g.g_constraint } in
-                match relax_guard ~dist:(distribution ~weight siblings g.g_loc) g'
-                with
+                match relax_guard ~dist:(distribution siblings g.g_loc) g' with
                 | `Keep ->
                   if not (R.equal g'.g_type g.g_type) then
                     widened := (g'.g_loc, g'.g_type) :: !widened;

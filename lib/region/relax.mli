@@ -26,7 +26,9 @@ val reset_stats : unit -> unit
 val generic_threshold : float
 
 (** Relax a region.  The input region's blocks and guards are not mutated
-    (profiling blocks are shared with the TransCFG registry).  [weight]
-    supplies sibling profile weights; defaults to the live TransCFG
-    registry, parallel compile passes a frozen snapshot reader. *)
-val run : ?weight:(Rdesc.block -> int) -> Rdesc.t -> Rdesc.t
+    (profiling blocks are shared with the TransCFG registry).  Sibling
+    weights are read from the canonical profile counters, which only the
+    write-lease holder (or a domain running alone) writes, so JIT worker
+    domains may run this during retranslate-all, which holds the lease
+    for its whole run. *)
+val run : Rdesc.t -> Rdesc.t

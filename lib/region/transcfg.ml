@@ -158,45 +158,3 @@ let build (func_id : int) : t =
 let succs (cfg : t) (id : int) : (int * int) list =
   List.filter_map (fun ((s, d), w) -> if s = id then Some (d, w) else None)
     cfg.t_arcs
-
-(* ------------------------------------------------------------------ *)
-(* Frozen snapshot (parallel retranslate-all)                          *)
-(* ------------------------------------------------------------------ *)
-
-(** An immutable view of the TransCFG for a set of functions, built on the
-    main domain before the parallel compile phase.  Workers form regions
-    and read block weights exclusively through the snapshot: the live
-    registry and the profile counters are never touched off the main
-    domain, and weights cannot drift mid-retranslate (requests executing
-    profiling code concurrently would otherwise make region shape depend
-    on timing). *)
-type snapshot = {
-  sn_cfgs : (int, t) Hashtbl.t;            (* func id -> built cfg *)
-  sn_blocks : (int, Rdesc.block) Hashtbl.t;
-  sn_weights : (int, int) Hashtbl.t;       (* block id -> frozen weight *)
-}
-
-let snapshot (funcs : int list) : snapshot =
-  let sn_cfgs = Hashtbl.create (2 * List.length funcs + 1) in
-  let sn_blocks = Hashtbl.create 256 in
-  let sn_weights = Hashtbl.create 256 in
-  List.iter
-    (fun fid ->
-       let cfg = build fid in
-       Hashtbl.replace sn_cfgs fid cfg;
-       List.iter
-         (fun (b : Rdesc.block) ->
-            Hashtbl.replace sn_blocks b.b_id b;
-            Hashtbl.replace sn_weights b.b_id (block_weight b))
-         cfg.nodes)
-    funcs;
-  { sn_cfgs; sn_blocks; sn_weights }
-
-let snap_cfg (s : snapshot) (fid : int) : t =
-  Option.value (Hashtbl.find_opt s.sn_cfgs fid) ~default:{ nodes = []; t_arcs = [] }
-
-let snap_block (s : snapshot) (id : int) : Rdesc.block =
-  Hashtbl.find s.sn_blocks id
-
-let snap_weight (s : snapshot) (b : Rdesc.block) : int =
-  Option.value (Hashtbl.find_opt s.sn_weights b.Rdesc.b_id) ~default:0

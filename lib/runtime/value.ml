@@ -85,16 +85,6 @@ let tag_name = function
   | TUninit -> "Uninit" | TNull -> "Null" | TBool -> "Bool" | TInt -> "Int"
   | TDbl -> "Dbl" | TStr -> "Str" | TArr -> "Arr" | TObj -> "Obj"
 
-(** Whether values of this tag are reference counted. *)
-let tag_counted = function
-  | TStr | TArr | TObj -> true
-  | TUninit | TNull | TBool | TInt | TDbl -> false
-
-let is_counted = function
-  | VStr s -> s.rc <> static_rc
-  | VArr _ | VObj _ -> true
-  | _ -> false
-
 (** PHP truthiness. *)
 let truthy = function
   | VUninit | VNull -> false

@@ -438,9 +438,11 @@ let weighted_cycles (requests : request array) (cycles : int array) : float =
     nearest-rank over the per-request samples, plus the log2-histogram
     estimator for comparison), per-phase breakdowns from the merged span
     log, per-endpoint latency, and the profile's sum check.  Emits only
-    integers, fixed-precision floats and identifier strings — never a
-    brace inside a string — so the bench's baseline brace-scanner and
-    byte-equality comparisons both hold. *)
+    integers, fixed-precision floats and identifier strings, so the bytes
+    depend on the measured values alone: [test_spans] compares reports
+    byte for byte across worker configs, and [scripts/ci.sh] runs [cmp]
+    on the [report --serving-report] files written at the default and at
+    4 JIT x 4 request workers. *)
 let report_json (requests : request array) (m : measured) : string =
   let r = m.me_result in
   let n = Array.length r.sv_cycles in

@@ -451,9 +451,6 @@ type meth_site_cache = {
 let meth_site_caches_key : meth_site_cache array array ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [||])
 
-(** Engine policy switch: also covers the JIT-side dispatch caches. *)
-let dispatch_caches_enabled = ref true
-
 let reset_meth_site_caches () = Domain.DLS.get meth_site_caches_key := [||]
 
 let meth_site_cache (fid : int) (pc : int) ~(body_len : int) : meth_site_cache =
@@ -813,7 +810,7 @@ let mk_handler (f : func) (pc : int) (i : Hhbc.Instr.t) : handler =
       let recv = pop fr in
       let m =
         match recv with
-        | VObj o when !dispatch_caches_enabled ->
+        | VObj o ->
           let sc = meth_site_cache fid pc ~body_len in
           (match sc.sc_meth with
            | Some m when sc.sc_cls = o.data.cls ->

@@ -94,7 +94,6 @@ let load ?(reset = true) ?(with_prelude = true) (src : string) : Hhbc.Hunit.t =
     Output.reset ();
     Builtins.rng_seed 0x12345678;
     Interp.call_dispatch := Interp.call_interpreted;
-    Interp.dispatch_caches_enabled := true;
     (* a previously installed JIT engine must not leak into the new unit *)
     Interp.translation_hook := (fun _ _ -> Interp.NoTranslation);
     Interp.hook_active := false

@@ -6,7 +6,12 @@
 #   3. parallel request-serving smoke: `hhvm_run report
 #      --request-workers 4` runs a multi-domain serving burst, and
 #      `--request-workers 0` must be refused as a usage error (exit 2),
-#   4. `bench/main.exe json` writes BENCH_hotpath.json and exits nonzero
+#   4. serving-report parity: `hhvm_run report --serving-report A
+#      --profile-folded B` at the defaults and at `--jit-workers 4
+#      --request-workers 4` must write byte-identical files (the 4x4 run
+#      compiles each retranslate-all on 4 JIT worker domains, which read
+#      the live profile and TransCFG registry),
+#   5. `bench/main.exe json` writes BENCH_hotpath.json and exits nonzero
 #      when an invariant it records fails: output hashes or code-cache
 #      byte totals diverging across execution modes or --jit-workers
 #      counts; per-request outputs diverging across (jit x request)
@@ -19,27 +24,27 @@
 #      compaction or diverging across worker configs.  Its `serving`
 #      section must carry the per-burst miss/fallback counters of the
 #      write-leased lazy translation path,
-#   5. jumpstart smoke: `hhvm_run warmup --dump` writes an image in one
+#   6. jumpstart smoke: `hhvm_run warmup --dump` writes an image in one
 #      process, `hhvm_run serve --jumpstart` adopts it in a fresh one,
 #      and the jumpstarted run must serve with ZERO profiling
 #      translations and ZERO retranslate-alls while its output hash is
 #      bit-identical to the cold-started run's,
-#   6. tc-lifecycle CLI path: `serve --tc-evict-threshold 2 --tc-compact`
+#   7. tc-lifecycle CLI path: `serve --tc-evict-threshold 2 --tc-compact`
 #      must evict, close every hole, and hash-match a plain cold serve,
-#   7. repo benchmark smoke: each perfbench workload at seed 1, which
+#   8. repo benchmark smoke: each perfbench workload at seed 1, which
 #      applies its per-request output check against the other engine,
 #      the seed-1 output digests and the cross-round determinism gate
 #      to the single-domain dispatch path,
-#   8. interpreter gates on that smoke's `interp_only` run (2 s, per-layer
+#   9. interpreter gates on that smoke's `interp_only` run (2 s, per-layer
 #      tracing on): the deterministic `vm.interp.minor_words_per_req`
 #      may not exceed its recorded value + 1 %, and the host-speed
 #      calibrated `vm.interp.ns_per_instr` may not exceed 1.25 x the
 #      median of the runs recorded beside its bound,
-#   9. clock gate: no direct wall-clock read (Unix.gettimeofday,
+#  10. clock gate: no direct wall-clock read (Unix.gettimeofday,
 #      Unix.time, Sys.time) in lib/, bin/ or bench/ — every clock read
 #      there goes through Obs.Clock.now, the monotonic clock.  test/ is
 #      exempt (a test may time its own wall budget),
-#  10. environment gate: no Sys.getenv / Unix.getenv in lib/, bin/ or
+#  11. environment gate: no Sys.getenv / Unix.getenv in lib/, bin/ or
 #      bench/ — the Jit_options record, filled from flags, is the
 #      engine's only configuration input.
 set -euo pipefail
@@ -65,6 +70,16 @@ if [ "$rc" -ne 2 ]; then
   exit 1
 fi
 
+echo "== serving-report parity (defaults vs 4 JIT x 4 request workers) =="
+rep=$(mktemp -d /tmp/report.XXXXXX)
+trap 'rm -rf "$rep"' EXIT
+dune exec bin/hhvm_run.exe -- report \
+  --serving-report "$rep/report.1x1.json" --profile-folded "$rep/folded.1x1.txt"
+dune exec bin/hhvm_run.exe -- report --jit-workers 4 --request-workers 4 \
+  --serving-report "$rep/report.4x4.json" --profile-folded "$rep/folded.4x4.txt"
+cmp "$rep/report.1x1.json" "$rep/report.4x4.json"
+cmp "$rep/folded.1x1.txt" "$rep/folded.4x4.txt"
+
 echo "== bench JSON (modes, retranslate, serving, startup, tc lifecycle) =="
 dune exec bench/main.exe -- json
 for key in translation_miss interp_fallback; do
@@ -76,7 +91,7 @@ done
 
 echo "== jumpstart smoke (warmup dump -> fresh-process restore) =="
 img=$(mktemp /tmp/jumpstart.XXXXXX.img)
-trap 'rm -f "$img"' EXIT
+trap 'rm -rf "$rep" "$img"' EXIT
 dune exec bin/hhvm_run.exe -- warmup --dump "$img"
 cold=$(dune exec bin/hhvm_run.exe -- serve)
 jump=$(dune exec bin/hhvm_run.exe -- serve --jumpstart "$img")

