@@ -405,8 +405,8 @@ let startup () =
     engine, then [Serving.measure] over the mix with a second
     retranslate-all fired at the halfway point — so the report covers
     epoch adoption and the retranslate-pause phase too; the mix's
-    unwarmed specializations give the miss-enqueue and lease-wait phases
-    traffic.  The measured burst is single-domain and slot-ordered, so
+    unwarmed specializations give the translation-miss and lease-wait
+    phases traffic.  The measured burst is single-domain and slot-ordered, so
     the emitted JSON is byte-identical on any host and any worker
     configuration.  Returns the JSON and the measurement behind it. *)
 let measure_serving_report () : string * Server.Serving.measured =

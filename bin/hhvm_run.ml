@@ -122,9 +122,9 @@ let opts_term : Core.Jit_options.t Term.t =
     Arg.(value & flag
          & info [ "spans" ]
            ~doc:"Record a per-request span timeline (epoch adoption, JIT \
-                 vs interp cycles, miss enqueues, lease waits, retranslate \
-                 pauses) during serving bursts, plus the cycle-attribution \
-                 profiler.  Off by default; overhead is \
+                 vs interp cycles, translation misses, lease waits, \
+                 retranslate pauses) during serving bursts, plus the \
+                 cycle-attribution profiler.  Off by default; overhead is \
                  bounded at a few percent because phase cycles come from \
                  ledger deltas at request boundaries, not per-instruction \
                  probes")
@@ -132,8 +132,8 @@ let opts_term : Core.Jit_options.t Term.t =
   let snapshot_out =
     Arg.(value & opt (some string) None
          & info [ "snapshot-out" ] ~docv:"FILE"
-           ~doc:"Stream gauge snapshots (queue depth, lease state, code \
-                 bytes, epoch) as JSONL to FILE during serving bursts")
+           ~doc:"Stream gauge snapshots (lease state, code bytes, epoch) \
+                 as JSONL to FILE during serving bursts")
   in
   let snapshot_interval =
     Arg.(value & opt int 0

@@ -11,10 +11,11 @@
 
     Every domain dispatches the same way, through a dispatch context
     ({!serve_ctx}: pinned epoch, machine, mono table) — the engine's main
-    context, or a serving worker's own.  A miss compiles under the write
-    lease ({!Translate_queue}), the lease holder publishes the changed
-    rows as an epoch, and the publishing domain adopts it at once; other
-    domains adopt it at their next request boundary. *)
+    context, or a serving worker's own.  A miss compiles its own srckey
+    under the write lease ({!Lease}) and publishes the changed row as an
+    epoch, which the publishing domain adopts at once; other domains adopt
+    it at their next request boundary, and a miss that loses the lease
+    interprets. *)
 
 open Runtime.Value
 module Rd = Region.Rdesc
@@ -552,102 +553,88 @@ let bind_exit (eng : t) (ctx : serve_ctx) (via : Translation.t * int)
     (target : Translation.t * Translation.entry) : unit =
   if ctx.sx_epoch.ep_gen = eng.generation then smash_link eng via target
 
-(** Drain the translation-request queue under the write lease: compile
-    each request against the live profile/TransCFG state (which the lease
-    protects), smash the requesting bind jumps, and publish the rows that
-    changed as one epoch.  Requests are consumed in queue-sequence order,
-    so translation ids, code-cache offsets, inline-cache ids and link
-    smashes are assigned in a canonical schedule-independent order per
-    queue history.  Caller MUST hold the write lease. *)
-let drain_translation_queue (eng : t) : unit =
-  let chains = Array.copy (Atomic.get eng.published).ep_chains in
-  let compiled = ref 0 in
-  let consumed =
-    Translate_queue.drain (fun rq ->
-        let fid = rq.Translate_queue.rq_fid
-        and pc = rq.Translate_queue.rq_pc
-        and locals = rq.Translate_queue.rq_locals
-        and stack = rq.Translate_queue.rq_stack in
-        if not (no_compile eng fid pc) then begin
-          let chain = chain_at chains fid pc in
-          (* authoritative dedup: an earlier drain may already cover these
-             types — the requester just hasn't adopted the epoch that has
-             it *)
-          if Array.exists
-              (fun tr -> entry_for_types tr ~locals ~stack <> None) chain
-          then Obs.Vmstats.bump c_lazy_covered
-          else if Array.length chain < eng.opts.max_live_per_srckey then begin
-            let oracle (loc : Rd.loc) : Hhbc.Rtype.t =
-              match loc with
-              | Rd.LLocal l ->
-                if l < Array.length locals then locals.(l)
-                else Hhbc.Rtype.uninit
-              | Rd.LStack d ->
-                if d < Array.length stack then stack.(d)
-                else Hhbc.Rtype.uninit
-            in
-            match compile_at eng chains ~fid ~pc ~oracle with
-            | Some tr ->
-              Obs.Vmstats.bump c_lazy_compiled;
-              (match rq.Translate_queue.rq_via,
-                     entry_for_types tr ~locals ~stack with
-               | Some via, Some en -> smash_link eng via (tr, en)
-               | _ -> ());
-              incr compiled
-            | None -> ()
-          end
-        end)
+(* Compile (fid, pc) for the types of [frame]'s locals and stack into a
+   copy of the latest epoch, smash [via] to the new code, and publish the
+   changed row.  Unless the srckey became no-compile, the types are first
+   re-checked against the latest epoch: a compile that landed since the
+   caller pinned its epoch may already cover them.  Write-lease holder
+   only. *)
+let compile_miss (eng : t) (frame : Vm.Interp.frame) ~(fid : int)
+    ~(pc : int) ~(via : (Translation.t * int) option) : unit =
+  (* stack indexed by depth: element [d] types [sp - 1 - d] *)
+  let locals = Array.map Hhbc.Rtype.of_value frame.locals in
+  let stack =
+    Array.init (max frame.sp 0)
+      (fun d -> Hhbc.Rtype.of_value frame.stack.(frame.sp - 1 - d))
   in
-  if !compiled > 0 then begin
-    Obs.Vmstats.bump c_epoch_delta;
-    publish_epoch eng chains
-  end;
-  if consumed > 0 && Obs.Trace.on Obs.Trace.Lease then
+  let chains = Array.copy (Atomic.get eng.published).ep_chains in
+  let chain = chain_at chains fid pc in
+  let compiled =
+    if no_compile eng fid pc then false
+    else if Array.exists
+        (fun tr -> entry_for_types tr ~locals ~stack <> None) chain
+    then (Obs.Vmstats.bump c_lazy_covered; false)
+    else if Array.length chain >= eng.opts.max_live_per_srckey then false
+    else begin
+      let oracle (loc : Rd.loc) : Hhbc.Rtype.t =
+        match loc with
+        | Rd.LLocal l ->
+          if l < Array.length locals then locals.(l) else Hhbc.Rtype.uninit
+        | Rd.LStack d ->
+          if d < Array.length stack then stack.(d) else Hhbc.Rtype.uninit
+      in
+      match compile_at eng chains ~fid ~pc ~oracle with
+      | Some tr ->
+        Obs.Vmstats.bump c_lazy_compiled;
+        (match via, entry_for_types tr ~locals ~stack with
+         | Some via, Some en -> smash_link eng via (tr, en)
+         | _ -> ());
+        Obs.Vmstats.bump c_epoch_delta;
+        publish_epoch eng chains;
+        true
+      | None -> false
+    end
+  in
+  if Obs.Trace.on Obs.Trace.Lease then
     Obs.Trace.emit Obs.Trace.Lease
-      [ ("event", Obs.Trace.S "drain");
-        ("requests", Obs.Trace.I consumed);
-        ("compiled", Obs.Trace.I !compiled);
+      [ ("event", Obs.Trace.S "compile");
+        ("fid", Obs.Trace.I fid);
+        ("pc", Obs.Trace.I pc);
+        ("compiled", Obs.Trace.I (Bool.to_int compiled));
         ("epoch", Obs.Trace.I (Atomic.get eng.published).ep_seq) ]
 
 (** A dispatch miss.  Unless the srckey cannot compile or its chain in the
-    pinned epoch is already [max_live_per_srckey] long: capture the
-    frame's types, enqueue a translation request, and try to win the
-    write lease.  The winner drains the whole queue (its own request
-    included), adopts the latest epoch, looks its own answer up and links
-    the exit it came through, so it enters the fresh code at once; a
-    loser returns [None] and interprets, adopting the result at a later
-    request boundary. *)
+    pinned epoch is already [max_live_per_srckey] long: make one attempt
+    at the write lease.  The winner compiles its own srckey for the
+    frame's types ({!compile_miss}), adopts the latest epoch, looks
+    itself up and links the exit it came through, so it enters the fresh
+    code at once; a loser returns [None] and interprets, and tries again
+    at its next miss. *)
 let translate_miss (eng : t) (ctx : serve_ctx) (frame : Vm.Interp.frame)
     (pc : int) ~(via : (Translation.t * int) option)
   : (Translation.t * Translation.entry) option =
   let fid = frame.func.fn_id in
   let chain_len = Array.length (chain_at ctx.sx_epoch.ep_chains fid pc) in
   (* racy read of [nocompile] (rows are replaced wholesale under the
-     lease): a stale [true] skips a request that would be rejected
-     anyway, a stale [false] is re-checked at drain time *)
+     lease): a stale [true] skips a compile that would be rejected
+     anyway, a stale [false] is re-checked under the lease *)
   if chain_len >= eng.opts.max_live_per_srckey || no_compile eng fid pc
   then None
   else begin
-    let locals = Array.map Hhbc.Rtype.of_value frame.locals in
-    let stack =
-      Array.init (max frame.sp 0)
-        (fun d -> Hhbc.Rtype.of_value frame.stack.(frame.sp - 1 - d))
-    in
-    let queued = Translate_queue.enqueue ~fid ~pc ~locals ~stack ~via in
-    if Obs.Span.on () then Obs.Span.count Obs.Span.Enqueue;
-    if queued && Translate_queue.try_acquire () then
+    if Obs.Span.on () then Obs.Span.count Obs.Span.Miss;
+    if Lease.try_acquire () then
       let lw0 =
         if Obs.Span.on () then (Runtime.Ledger.acct ()).Runtime.Ledger.a_cycles
         else 0
       in
       Fun.protect
         ~finally:(fun () ->
-            Translate_queue.release ();
+            Lease.release ();
             if Obs.Span.on () then
               Obs.Span.add Obs.Span.LeaseWait
                 ((Runtime.Ledger.acct ()).Runtime.Ledger.a_cycles - lw0))
         (fun () ->
-          drain_translation_queue eng;
+          compile_miss eng frame ~fid ~pc ~via;
           ignore (catch_up eng ctx);
           let found = select_entry ctx frame pc in
           if found <> None then Obs.Vmstats.bump c_lazy_entered;
@@ -733,10 +720,10 @@ let try_enter (eng : t) (ctx : serve_ctx) (frame : Vm.Interp.frame)
         match select_entry ctx frame pc with
         | Some target as found ->
           (match via with
-           | Some v when Translate_queue.try_acquire () ->
+           | Some v when Lease.try_acquire () ->
              (match bind_exit eng ctx v target with
-              | () -> Translate_queue.release ()
-              | exception e -> Translate_queue.release (); raise e)
+              | () -> Lease.release ()
+              | exception e -> Lease.release (); raise e)
            | _ -> ());
           found
         | None ->
@@ -1024,12 +1011,12 @@ let retranslate_all_locked (eng : t) : int =
 (** Retranslate-all takes the write lease for its whole run: it rewrites
     the translation table, id allocators and code cache that in-burst
     lazy translation mutates under the same lease, so a retranslate fired
-    mid-burst serializes against any drain in progress (and lease holders
-    observe a consistent generation).  Outside a burst the lease is
+    mid-burst serializes against any lazy compile in progress (and lease
+    holders observe a consistent generation).  Outside a burst the lease is
     always free and this is one uncontended CAS. *)
 let retranslate_all (eng : t) : int =
-  Translate_queue.acquire ();
-  Fun.protect ~finally:Translate_queue.release
+  Lease.acquire ();
+  Fun.protect ~finally:Lease.release
     (fun () -> retranslate_all_locked eng)
 
 (* ------------------------------------------------------------------ *)
@@ -1188,16 +1175,16 @@ let compact_tc_locked (eng : t) : int =
 
 (** Public lifecycle entry points: like [retranslate_all], each takes the
     write lease for its whole run — lifecycle mutation serializes against
-    in-burst lazy translation drains, and a lease-holding drainer never
-    observes a half-pruned table. *)
+    in-burst lazy compiles, and a lease-holding miss never observes a
+    half-pruned table. *)
 let evict_cold (eng : t) ~(threshold : int) : int =
-  Translate_queue.acquire ();
-  Fun.protect ~finally:Translate_queue.release
+  Lease.acquire ();
+  Fun.protect ~finally:Lease.release
     (fun () -> evict_cold_locked eng ~threshold)
 
 let compact_tc (eng : t) : int =
-  Translate_queue.acquire ();
-  Fun.protect ~finally:Translate_queue.release
+  Lease.acquire ();
+  Fun.protect ~finally:Lease.release
     (fun () -> compact_tc_locked eng)
 
 (** One lifecycle tick, the policy form the server/bench drives: decay +
@@ -1209,8 +1196,8 @@ let tc_lifecycle_tick (eng : t) : int * int =
   if eng.opts.tc_evict_threshold <= 0 || not eng.optimized_published
   then (0, 0)
   else begin
-    Translate_queue.acquire ();
-    Fun.protect ~finally:Translate_queue.release
+    Lease.acquire ();
+    Fun.protect ~finally:Lease.release
       (fun () ->
          let evicted =
            evict_cold_locked eng ~threshold:eng.opts.tc_evict_threshold
@@ -1375,7 +1362,6 @@ let install ?(opts : Jit_options.t option) (u : Hhbc.Hunit.t) : t =
      engine: sequential runs (bench determinism sweeps) produce identical
      tc-print reports and trace streams *)
   Translation.reset_ids ();
-  Translate_queue.reset ~capacity:Translate_queue.default_capacity ();
   Region.Select.next_block_id := 0;
   Region.Transcfg.reset ();
   Vm.Prof.reset ();

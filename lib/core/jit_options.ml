@@ -64,9 +64,9 @@ type t = {
      1 = serve on the calling domain).  Per-request outputs and the
      aggregate output hash are identical for any value. *)
   mutable request_workers : int;
-  (* ignored: every dispatch miss translates lazily through the write
-     lease.  Kept because the repo benchmark's pinned configuration sets
-     it. *)
+  (* ignored: every dispatch miss makes one attempt at the write lease
+     and, when it wins, compiles its own srckey; a loser interprets.
+     Kept because the repo benchmark's pinned configuration sets it. *)
   mutable lazy_translate : bool;
   (* code-cache lifecycle ([--tc-evict-threshold N], [--tc-compact]): a
      lifecycle tick decays every optimized translation's liveness score

@@ -84,22 +84,3 @@ let run ~(workers : int) (tasks : (unit -> 'r) array) : 'r array =
         | None -> assert false)
       results
   end
-
-(** Dedicated lazy-translation drainer: the "background JIT worker"
-    variant of the write lease.  Runs on its own domain for the duration
-    of a serving burst, competing for the lease with the serve workers'
-    opportunistic CAS — whoever wins compiles; the rest keep serving.
-    [drain] is called with the lease held ([Engine.drain_translation_queue]
-    partially applied by the scheduler; this module sits below the engine
-    and never sees its type).  Polls with a backoff sleep so an idle
-    drainer yields its timeslice instead of spinning — on the 1-core CI
-    host the serve workers need it far more than the poll loop does. *)
-let drain_loop ~(stop : bool Atomic.t) ~(drain : unit -> unit) : unit =
-  while not (Atomic.get stop) do
-    if Translate_queue.has_pending () && Translate_queue.try_acquire () then
-      Fun.protect ~finally:Translate_queue.release drain
-    else begin
-      Domain.cpu_relax ();
-      Unix.sleepf 2e-4
-    end
-  done

@@ -9,7 +9,7 @@
       translation (per-translation, per-request);
     - [<endpoint>;interp;<Opcode>] — interpreter fallback, per opcode;
     - [<endpoint>;jit-compile;<func>] — lazy compiles charged to the
-      requesting domain (the lease winner's inline drain);
+      requesting domain (the lease winner's inline compile);
     - [<endpoint>;jit-instrument] — profiling-translation
       instrumentation overhead;
     - [<endpoint>;dispatch] — the residual: guard execution, builtin

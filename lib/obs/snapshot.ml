@@ -1,11 +1,11 @@
 (** Time-series gauge snapshots: an optional JSONL stream of key levels
-    sampled every N completed requests during a serving burst (queue
-    depth, lease state, code-cache bytes, epoch generation).
+    sampled every N completed requests during a serving burst (lease
+    state, code-cache bytes, epoch sequence and generation).
 
     This is the feed the code-cache-lifecycle work consumes: where
     vmstats gives burst totals and spans give per-request timelines,
     snapshots show how the system's levels {e evolve} through a burst —
-    the queue filling and draining, the epoch sequence advancing as
+    the lease taken and released, the epoch sequence advancing as
     deltas publish, the TC growing as lazy compiles land.
 
     Off unless configured ([--snapshot-out FILE --snapshot-interval N]).

@@ -2,7 +2,7 @@
 
     HHVM's production observability answers "where did this request's
     time go?" — epoch/treadmill waits, JIT dispatch, interpreter
-    fallback, translation-queue interactions.  This module is that layer
+    fallback, write-lease compiles.  This module is that layer
     for the simulated substrate: while a serving burst runs, every
     request carries one {!span} recording per-phase simulated cycles and
     event counts; each domain buffers the spans it served in
@@ -12,7 +12,7 @@
 
     Cost model: phases are charged from ledger deltas taken at request
     boundaries (no per-instruction work), plus O(1) counter bumps at the
-    cold dispatch edges (epoch adoption, miss enqueue, lease wait), all
+    cold dispatch edges (epoch adoption, translation miss, lease wait), all
     behind the {!enabled} flag — off by default ([--spans]).
 
     Phase semantics (cycles are attributions, not a disjoint partition:
@@ -25,31 +25,31 @@
       request's domain).
     - [Interp]: interpreter cycles (ledger [a_interp] delta), plus a
       count of frozen-dispatch interpreter fallbacks.
-    - [Enqueue]: translation-miss requests enqueued on the lazy
-      translation queue (count).
-    - [LeaseWait]: cycles spent holding the write lease draining the
-      translation queue inline (the lease-winner's compile stall).
+    - [Miss]: translation misses that try the write lease (count); its
+      key stays [miss_enqueue], so the serving-report format is stable.
+    - [LeaseWait]: cycles spent holding the write lease compiling the
+      missed srckey inline (the lease-winner's compile stall).
     - [RetransPause]: cycles the request spent running a retranslate-all
       it triggered (the pause a mid-burst reoptimization exposes to the
       unlucky request). *)
 
-type phase = Adopt | Jit | Interp | Enqueue | LeaseWait | RetransPause
+type phase = Adopt | Jit | Interp | Miss | LeaseWait | RetransPause
 
 let nphases = 6
 
 let phase_index = function
   | Adopt -> 0 | Jit -> 1 | Interp -> 2
-  | Enqueue -> 3 | LeaseWait -> 4 | RetransPause -> 5
+  | Miss -> 3 | LeaseWait -> 4 | RetransPause -> 5
 
 let phase_name = function
   | Adopt -> "epoch_adopt"
   | Jit -> "jit_dispatch"
   | Interp -> "interp_fallback"
-  | Enqueue -> "miss_enqueue"
+  | Miss -> "miss_enqueue"
   | LeaseWait -> "lease_wait"
   | RetransPause -> "retranslate_pause"
 
-let phases = [ Adopt; Jit; Interp; Enqueue; LeaseWait; RetransPause ]
+let phases = [ Adopt; Jit; Interp; Miss; LeaseWait; RetransPause ]
 
 type span = {
   sp_slot : int;                (** request slot: the canonical merge key *)

@@ -16,7 +16,7 @@ type category =
   | Link             (** a ReqBind exit was smashed / invalidated; arcs *)
   | Exit             (** compiled code left through an exit *)
   | Guard            (** an entry's guard validation failed *)
-  | Lease            (** write-lease activity: lazy in-burst drains *)
+  | Lease            (** write-lease activity: one event per lazy compile *)
 
 let all_categories = [ Translate; Retranslate; Link; Exit; Guard; Lease ]
 

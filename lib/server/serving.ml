@@ -112,8 +112,7 @@ let emit_snapshot (eng : Core.Engine.t) (done_ : int) : unit =
     let ep = Atomic.get eng.Core.Engine.published in
     Obs.Snapshot.emit
       [ ("req_done", done_);
-        ("queue_depth", Core.Translate_queue.depth ());
-        ("lease_held", if Core.Translate_queue.lease_held () then 1 else 0);
+        ("lease_held", if Core.Lease.held () then 1 else 0);
         ("tc_bytes", Core.Engine.code_bytes eng);
         ("epoch", ep.Core.Engine.ep_seq);
         ("generation", ep.Core.Engine.ep_gen) ]
@@ -219,10 +218,7 @@ let run ?workers ?trigger (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
     else begin
       (* Fan-out.  Freeze string interning (workers may intern novel
          constants) and shard every per-domain counter family for the
-         duration of the burst.  The translation-request queue restarts
-         empty: lazy in-burst translation is scoped per burst (this is the
-         quiescent point the queue's burst contract requires). *)
-      Core.Translate_queue.begin_burst ();
+         duration of the burst. *)
       Hhbc.Hunit.freeze_interning true;
       Obs.Vmstats.shards_begin ();
       let next = Atomic.make 0 in
@@ -253,45 +249,11 @@ let run ?workers ?trigger (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
           wr_spans = Obs.Span.take ();
           wr_prof = Obs.Profiler.take () }
       in
-      (* Dedicated drainer domain, competing for the write lease with the
-         serve workers' opportunistic CAS (the lease arbitrates).  It is
-         what guarantees a lease loser's request is compiled however many
-         siblings are serving: at exactly two request workers the loser
-         has no sibling left to drain for it.  It has no dispatch context
-         of its own, so the epochs it publishes are adopted by the main
-         context, which nobody dispatches through until the join.  Compile
-         cycles it charges land on its own ledger account — background
-         compilation, off every request's measured cost, like HHVM's JIT
-         worker threads. *)
-      let stop_drainer = Atomic.make false in
-      let drainer =
-        Domain.spawn (fun () ->
-            let shard = Obs.Vmstats.shard_create () in
-            Obs.Vmstats.shard_install (Some shard);
-            (* the drainer serves no requests: its compile cycles are
-               attributed under a "background" root, not a span *)
-            if Obs.Profiler.on () then
-              Obs.Profiler.begin_request ~root:"background";
-            Core.Jit_worker.drain_loop ~stop:stop_drainer
-              ~drain:(fun () -> Core.Engine.drain_translation_queue eng);
-            Obs.Vmstats.shard_install None;
-            { wr_shard = shard;
-              wr_machine = None;
-              wr_heap = Runtime.Heap.stats ();
-              wr_ledger = Runtime.Ledger.acct ();
-              wr_instrs = Vm.Interp.instr_count ();
-              wr_spans = [];
-              wr_prof = Obs.Profiler.take () })
-      in
       let reports =
         Array.map Domain.join
           (Array.init workers (fun _ -> Domain.spawn worker))
       in
-      Atomic.set stop_drainer true;
-      let reports = Array.append reports [| Domain.join drainer |] in
-      (* requests still queued when the last worker finished die with the
-         burst; the calling domain adopts whatever the burst published *)
-      Core.Translate_queue.reset ();
+      (* the calling domain adopts whatever the burst published *)
       Core.Engine.begin_request eng;
       Obs.Vmstats.shards_end ();
       Hhbc.Hunit.freeze_interning false;
@@ -362,7 +324,6 @@ let measure ?trigger (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
   Obs.Span.reset_local ();
   Obs.Profiler.reset ();
   Obs.Vmstats.reset_histogram h_request_cycles;
-  Core.Translate_queue.begin_burst ();
   Core.Engine.enter_serving eng;
   let completed = ref 0 in
   let fired = ref false in
@@ -383,7 +344,6 @@ let measure ?trigger (u : Hhbc.Hunit.t) (eng : Core.Engine.t)
   (match Core.Engine.exit_serving () with
    | Some m -> Core.Engine.merge_machine eng m
    | None -> ());
-  Core.Translate_queue.reset ();
   Core.Engine.begin_request eng;
   let spans = Obs.Span.merge [ Obs.Span.take () ] in
   Obs.Profiler.absorb (Obs.Profiler.take ());

@@ -35,11 +35,12 @@
 #      applies its per-request output check against the other engine,
 #      the seed-1 output digests and the cross-round determinism gate
 #      to the single-domain dispatch path,
-#   9. interpreter gates on that smoke's `interp_only` run (2 s, per-layer
-#      tracing on): the deterministic `vm.interp.minor_words_per_req`
-#      may not exceed its recorded value + 1 %, and the host-speed
-#      calibrated `vm.interp.ns_per_instr` may not exceed 1.25 x the
-#      median of the runs recorded beside its bound,
+#   9. interpreter gates on that smoke's three `interp_only` runs (2 s
+#      each, per-layer tracing on): the deterministic
+#      `vm.interp.minor_words_per_req` of the first run may not exceed its
+#      recorded value + 1 %, and the median of the three host-speed
+#      calibrated `vm.interp.ns_per_instr` figures may not exceed 1.25 x
+#      the median of the runs recorded beside its bound,
 #  10. clock gate: no direct wall-clock read (Unix.gettimeofday,
 #      Unix.time, Sys.time) in lib/, bin/ or bench/ — every clock read
 #      there goes through Obs.Clock.now, the monotonic clock.  test/ is
@@ -149,14 +150,26 @@ for w in steady_region cold_start mix_shift; do
   python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 \
     | tail -n 1
 done
-interp=$(python3 perfbench/run.py --workload interp_only --seed 1 \
-           --seconds 2 --trace 1 | tail -n 1)
-echo "$interp"
+interp=()
+for _ in 1 2 3; do
+  run=$(python3 perfbench/run.py --workload interp_only --seed 1 \
+          --seconds 2 --trace 1 | tail -n 1)
+  echo "$run"
+  interp+=("$run")
+done
 
 echo "== interpreter gates (perfbench interp_only) =="
-python3 - "$interp" <<'PY'
-import json, sys
-metrics = json.loads(sys.argv[1])["metrics"]
+python3 - "${interp[@]}" <<'PY'
+import json, statistics, sys
+runs = [json.loads(arg)["metrics"] for arg in sys.argv[1:]]
+values = {
+    # exact: one run reads the same figure as any other
+    "vm.interp.minor_words_per_req":
+        runs[0]["vm.interp.minor_words_per_req"]["value"],
+    # host-dependent: the median of the three runs
+    "vm.interp.ns_per_instr":
+        statistics.median(r["vm.interp.ns_per_instr"]["value"] for r in runs),
+}
 bounds = {
     # deterministic: 3962.7302 words/req at seed 1, + 1 %
     "vm.interp.minor_words_per_req": 3962.7302 * 1.01,
@@ -167,7 +180,7 @@ bounds = {
 }
 failed = False
 for name, bound in bounds.items():
-    value = metrics[name]["value"]
+    value = values[name]
     ok = value <= bound
     failed = failed or not ok
     print(f"{name}: {value:.4f} (bound {bound:.4f}) {'ok' if ok else 'FAIL'}")
